@@ -7,10 +7,11 @@
 //     measured over the resulting (possibly stash-/migration-degraded)
 //     table. Invariants: every inserted key resolvable, zero stash drops,
 //     size exact.
-//  2. Shard failover — an RSS-sharded run at each fault rate arms a one-shot
-//     worker kill (rate 0 arms nothing); the surviving workers absorb the
-//     dead shard's budget. Invariants: shard counts sum exactly to the
-//     offered load, failover accounting balances, keys stay resolvable.
+//  2. Shard failover — a static-RSS sharded run at each fault rate arms a
+//     one-shot worker kill (rate 0 arms nothing); the dying worker donates
+//     its flow-groups and the survivors absorb the dead shard's budget.
+//     Invariants: shard counts sum exactly to the offered load, failover
+//     accounting balances, keys stay resolvable.
 //
 // Exit status: nonzero only when a deterministic invariant fails; throughput
 // numbers are informational (shared-vCPU timing is not reproducible).
@@ -137,16 +138,16 @@ void ShardFailoverSweep() {
     opts.warmup_packets = 5'000;
     opts.measure_packets = 200'000;
     opts.rss_seed = 11;
-    const auto result =
-        pktgen::ShardedPipeline(opts).MeasureThroughput(
-            [&replicas](u32 cpu) -> pktgen::ShardedPipeline::BurstHandler {
-              nf::CuckooSwitchKernel* nf = replicas[cpu].get();
-              return [nf](ebpf::XdpContext* ctxs, u32 count,
-                          ebpf::XdpAction* verdicts) {
-                nf->ProcessBurst(ctxs, count, verdicts);
-              };
-            },
-            trace);
+    const auto result = pktgen::ShardedPipeline(opts).MeasureScaleOut(
+        [&replicas](u32 cpu) -> pktgen::ShardedPipeline::ShardProgram {
+          nf::CuckooSwitchKernel* nf = replicas[cpu].get();
+          return {[nf](ebpf::XdpContext* ctxs, u32 count,
+                       ebpf::XdpAction* verdicts) {
+                    nf->ProcessBurst(ctxs, count, verdicts);
+                  },
+                  nullptr};
+        },
+        trace, pktgen::MigrationPolicy{.enabled = false});
 
     u64 shard_sum = 0, degraded_sum = 0;
     for (const auto& shard : result.shards) {

@@ -34,10 +34,15 @@ namespace pktgen {
 using ebpf::u32;
 using ebpf::u64;
 
+// Set in SlotHandoff::donor once a dying worker has donated the flow-group:
+// every later owner serves its budget on a failed shard's behalf (counted as
+// ThroughputStats::degraded). Migrations and re-deliveries keep the mark.
+inline constexpr u32 kDonorFailedBit = 1u << 31;
+
 // Flow-group (indirection-slot) handoff descriptor.
 struct SlotHandoff {
   u32 slot = 0;       // RSS indirection slot being donated
-  u32 donor = 0;      // donating shard's cpu
+  u32 donor = 0;      // donating shard's cpu, | kDonorFailedBit (see above)
   u64 cursor = 0;     // replay position within the slot's sub-trace
   u64 remaining = 0;  // unserved packet quota owed by the slot
   u64 generation = 0; // steering generation the donor observed when donating

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <deque>
 
+#include "pktgen/sharded_pipeline.h"
+
 namespace pktgen {
 
 namespace {
@@ -20,13 +22,6 @@ inline void HistAdd(obs::LatencyHist* hist, u64 ns) {
   hist->counts[obs::Log2Bucket(ns)]++;
   hist->total_ns += ns;
   hist->samples++;
-}
-
-inline ebpf::XdpContext ContextOf(Packet& packet) {
-  ebpf::XdpContext ctx;
-  ctx.data = packet.frame;
-  ctx.data_end = packet.frame + ebpf::kFrameSize;
-  return ctx;
 }
 
 }  // namespace
@@ -139,24 +134,20 @@ OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
   stats.offered = n;
   stats.offered_pps = OfferedPps(arrivals);
 
-  // Steer packets to shards by 5-tuple hash, preserving arrival order within
-  // each shard. Unparseable frames steer to shard 0 (they still consume
-  // service — the NF sees and aborts them, as a real datapath would).
+  // Steer packets to shards through the RSS indirection table, preserving
+  // arrival order within each shard. Unparseable frames steer to slot 0's
+  // shard (they still consume service — the NF sees and aborts them, as a
+  // real datapath would).
   std::vector<std::vector<u32>> order(config_.shards);
   for (auto& o : order) {
     o.reserve(n / config_.shards + 1);
   }
+  const std::vector<u32> table = BuildRssIndirection(config_.shards);
   for (u32 i = 0; i < n; ++i) {
-    u32 shard = 0;
-    if (config_.shards > 1) {
-      ebpf::XdpContext ctx = ContextOf(working[i]);
-      ebpf::FiveTuple tuple;
-      if (ebpf::ParseFiveTuple(ctx, &tuple)) {
-        shard = static_cast<u32>(
-                    (ebpf::FiveTupleHash{}(tuple) ^ config_.steer_seed)) %
-                config_.shards;
-      }
-    }
+    const u32 shard =
+        config_.shards == 1
+            ? 0
+            : table[RssSlotForPacket(working[i], kRssIndirectionSize, 0)];
     order[shard].push_back(i);
   }
 
@@ -200,7 +191,7 @@ OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
       const u32 count = static_cast<u32>(std::min<std::size_t>(
           queue.size(), config_.burst_size));
       for (u32 i = 0; i < count; ++i) {
-        ctxs[i] = ContextOf(working[queue[i]]);
+        ctxs[i] = XdpContextOf(working[queue[i]]);
         ctxs[i].rx_timestamp_ns = arrivals[queue[i]];
       }
       u64 service_ns = std::max<u64>(service(ctxs, count, verdicts), 1);
@@ -232,7 +223,7 @@ OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
           config_.served_log->emplace_back(idx, verdicts[i]);
         }
         if (mirror) {
-          ebpf::XdpContext ctx = ContextOf(working[idx]);
+          ebpf::XdpContext ctx = XdpContextOf(working[idx]);
           telemetry.RecordSample(config_.obs_scope, sojourn_ns,
                                  obs::FlowOf(ctx));
         }

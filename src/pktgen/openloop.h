@@ -91,10 +91,11 @@ struct OpenLoopConfig {
   u32 queue_capacity = 1024;
   // Packets dequeued per service burst (clamped to [1, kMaxBurstSize]).
   u32 burst_size = 32;
-  // Independent queue+server pairs; packets steer by 5-tuple hash. Each
-  // shard is simulated with its own virtual clock.
+  // Independent queue+server pairs; packets steer through the RSS
+  // indirection table (BuildRssIndirection(shards)[RssSlotForPacket(p,
+  // kRssIndirectionSize, 0)]), the multi-core engine's steering. Each shard
+  // is simulated with its own virtual clock, shard 0 first.
   u32 shards = 1;
-  u32 steer_seed = 0x9e3779b9u;
   // Ceiling on a single burst's service time (ns); 0 = unlimited. With a
   // MeasuredService model on a shared machine, an OS preemption of the
   // harness lands in the measured burst as a multi-millisecond spike and

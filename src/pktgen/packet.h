@@ -41,6 +41,17 @@ struct Packet {
 
 using Trace = std::vector<Packet>;
 
+// The XDP view of a packet: a writable window over its whole frame, as the
+// NIC hands it to the hook. Every pipeline, engine and steering path builds
+// its contexts here.
+inline ebpf::XdpContext XdpContextOf(Packet& packet, u64 rx_timestamp_ns = 0) {
+  ebpf::XdpContext ctx;
+  ctx.data = packet.frame;
+  ctx.data_end = packet.frame + ebpf::kFrameSize;
+  ctx.rx_timestamp_ns = rx_timestamp_ns;
+  return ctx;
+}
+
 }  // namespace pktgen
 
 #endif  // ENETSTL_PKTGEN_PACKET_H_

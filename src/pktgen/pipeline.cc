@@ -12,14 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-inline ebpf::XdpContext MakeContext(Packet& packet, ebpf::u64 ts_ns) {
-  ebpf::XdpContext ctx;
-  ctx.data = packet.frame;
-  ctx.data_end = packet.frame + ebpf::kFrameSize;
-  ctx.rx_timestamp_ns = ts_ns;
-  return ctx;
-}
-
 inline u32 ClampBurstSize(u32 burst_size) {
   return std::clamp(burst_size, u32{1}, kMaxBurstSize);
 }
@@ -40,14 +32,14 @@ ThroughputStats Pipeline::MeasureThroughput(PacketHandler handler,
 
   std::size_t cursor = 0;
   for (u64 i = 0; i < options_.warmup_packets; ++i) {
-    ebpf::XdpContext ctx = MakeContext(working[cursor], 0);
+    ebpf::XdpContext ctx = XdpContextOf(working[cursor]);
     (void)handler(ctx);
     cursor = cursor + 1 < n ? cursor + 1 : 0;
   }
 
   const auto start = Clock::now();
   for (u64 i = 0; i < options_.measure_packets; ++i) {
-    ebpf::XdpContext ctx = MakeContext(working[cursor], 0);
+    ebpf::XdpContext ctx = XdpContextOf(working[cursor]);
     stats.AccumulateVerdict(handler(ctx));
     cursor = cursor + 1 < n ? cursor + 1 : 0;
   }
@@ -80,7 +72,7 @@ ThroughputStats Pipeline::MeasureThroughputBurst(PacketBurstHandler handler,
   std::size_t cursor = 0;
   auto fill_burst = [&](u32 count) {
     for (u32 i = 0; i < count; ++i) {
-      ctxs[i] = MakeContext(working[cursor], 0);
+      ctxs[i] = XdpContextOf(working[cursor]);
       cursor = cursor + 1 < n ? cursor + 1 : 0;
     }
   };
@@ -133,7 +125,7 @@ LatencyStats Pipeline::MeasureLatency(PacketHandler handler,
   double total = 0.0;
   for (u64 i = 0; i < packets; ++i) {
     const auto t0 = Clock::now();
-    ebpf::XdpContext ctx = MakeContext(
+    ebpf::XdpContext ctx = XdpContextOf(
         working[cursor],
         static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                              t0.time_since_epoch())
@@ -165,7 +157,7 @@ LatencyStats Pipeline::MeasureLatency(PacketHandler handler,
 void ReplayOnce(PacketHandler handler, const Trace& trace) {
   Trace working = trace;
   for (Packet& packet : working) {
-    ebpf::XdpContext ctx = MakeContext(packet, 0);
+    ebpf::XdpContext ctx = XdpContextOf(packet);
     (void)handler(ctx);
   }
 }

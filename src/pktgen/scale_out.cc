@@ -8,6 +8,10 @@
 // the slots the live indirection table maps to it and replays each owned
 // slot's sub-trace cyclically, burst by burst.
 //
+// A worker fills each burst from its run list in order, so it serves one
+// slot's whole quota before it moves to the next: its working set at any
+// moment is one slot's flows, not the whole trace's.
+//
 // Ownership/migration protocol (per-flow order proof in DESIGN.md §11):
 //  * only the controller (or a dying worker) rewrites the table, via CAS;
 //  * a worker polls the steering generation once per burst boundary; on a
@@ -24,9 +28,10 @@
 // Failover composes with migration: a worker whose "shard.kill.<cpu>" fault
 // fires donates every owned slot to the least-loaded survivors through the
 // same rings (re-steering the table itself via CAS), then retires; the
-// controller sweeps retired workers' rings so no descriptor is stranded. If
-// nobody survives, the residual budget is dropped and total.packets <
-// measure_packets (the honest-shortfall convention MeasureThroughput uses).
+// controller sweeps retired workers' rings so no descriptor is stranded.
+// Death donations carry kDonorFailedBit, and whoever serves a marked slot
+// counts those packets as degraded. If nobody survives, the residual budget
+// is dropped and total.packets < measure_packets (an honest shortfall).
 //
 // Memory: every worker binds its own SlabArena for slot-run bookkeeping —
 // no datapath allocation crosses a shard boundary (cross_shard_ops() == 0
@@ -58,7 +63,10 @@ namespace {
 using enetstl::SlabArena;
 using WallClock = std::chrono::steady_clock;
 
-double ScaleOutThreadCpuSeconds() {
+// CPU time consumed by the calling thread. Falls back to wall time on
+// platforms without per-thread clocks (the dedicated-core model then degrades
+// to wall-clock scaling).
+double ThreadCpuSeconds() {
 #if defined(__linux__)
   timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
@@ -71,21 +79,13 @@ double ScaleOutThreadCpuSeconds() {
       .count();
 }
 
-inline ebpf::XdpContext SlotContext(Packet& packet) {
-  ebpf::XdpContext ctx;
-  ctx.data = packet.frame;
-  ctx.data_end = packet.frame + ebpf::kFrameSize;
-  ctx.rx_timestamp_ns = 0;
-  return ctx;
-}
-
 // Worker-local replay state of one owned flow-group, allocated from the
 // worker's own arena (the shard-ownership rule under test).
 struct SlotRun {
   u32 slot = 0;
-  u32 pad = 0;
-  u64 cursor = 0;     // replay position within the slot's sub-trace
-  u64 remaining = 0;  // unserved packet quota
+  bool degraded = false;  // budget a dying worker donated (kDonorFailedBit)
+  u64 cursor = 0;         // replay position within the slot's sub-trace
+  u64 remaining = 0;      // unserved packet quota
   SlotRun* next = nullptr;
   SlabArena::Handle self = SlabArena::kNullHandle;
 };
@@ -112,7 +112,8 @@ struct ScaleOutShared {
   std::array<std::atomic<bool>, ebpf::kNumPossibleCpus> retired{};
   // Residual budget dropped because nobody survived to serve it.
   std::atomic<u64> dropped_budget{0};
-  // Residual budget dying workers donated to survivors.
+  // Residual budget dying workers donated to survivors; a slot a second
+  // dying worker donates again is not counted twice.
   std::atomic<u64> donated_budget{0};
   std::atomic<u64> failover_donations{0};
 
@@ -162,7 +163,7 @@ struct ScaleOutWorker {
 
   SlotRun* head_ = nullptr;
 
-  SlotRun* NewRun(u32 slot, u64 cursor, u64 remaining) {
+  SlotRun* NewRun(u32 slot, u64 cursor, u64 remaining, bool degraded) {
     SlabArena::Allocation alloc = arena.Allocate(kSlotRunShape, sizeof(SlotRun));
     SlotRun* run;
     if (alloc.ptr != nullptr) {
@@ -172,6 +173,7 @@ struct ScaleOutWorker {
       run = new SlotRun;  // arena exhausted (not expected at 128 slots)
     }
     run->slot = slot;
+    run->degraded = degraded;
     run->cursor = cursor;
     run->remaining = remaining;
     run->next = head_;
@@ -194,7 +196,7 @@ struct ScaleOutWorker {
       if (shared->table->Owner(s) != cpu || quota[s] == 0) {
         continue;
       }
-      NewRun(s, 0, quota[s]);
+      NewRun(s, 0, quota[s], false);
       ++slots_initial;
       initial_depth += (*shared->slot_traces)[s].size();
     }
@@ -217,7 +219,7 @@ struct ScaleOutWorker {
       const u32 count = static_cast<u32>(
           std::min<u64>(burst, warmup_packets - done));
       for (u32 i = 0; i < count; ++i) {
-        ctxs[i] = SlotContext(tr[cursor]);
+        ctxs[i] = XdpContextOf(tr[cursor]);
         cursor = cursor + 1 < tr.size() ? cursor + 1 : 0;
       }
       handler(ctxs, count, verdicts);
@@ -230,7 +232,8 @@ struct ScaleOutWorker {
   // Adopts every donated flow-group waiting in this worker's ring.
   void DrainAdoptions() {
     (*shared->rings)[cpu]->Drain([this](const SlotHandoff& h) {
-      NewRun(h.slot, h.cursor, h.remaining);
+      NewRun(h.slot, h.cursor, h.remaining,
+             (h.donor & kDonorFailedBit) != 0);
       ++slots_adopted;
     });
   }
@@ -247,7 +250,10 @@ struct ScaleOutWorker {
         link = &run->next;
         continue;
       }
-      const SlotHandoff handoff{run->slot, cpu, run->cursor, run->remaining,
+      // A migration keeps the failover mark of the budget it moves.
+      const SlotHandoff handoff{run->slot,
+                                run->degraded ? cpu | kDonorFailedBit : cpu,
+                                run->cursor, run->remaining,
                                 shared->table->Generation()};
       if (!(*shared->rings)[owner]->Donate(handoff)) {
         ++donate_retries;
@@ -263,6 +269,8 @@ struct ScaleOutWorker {
   }
 
   // Assembles up to `burst` packets across owned slots, in slot-list order.
+  // Every listed run has quota left (exhausted runs are popped after each
+  // burst), so the runs one burst exhausts are a prefix of the list.
   // Returns the count; parts[] records which run contributed how many so
   // the post-burst accounting can decrement the right quotas.
   struct Part {
@@ -274,14 +282,11 @@ struct ScaleOutWorker {
     *num_parts = 0;
     for (SlotRun* run = head_; run != nullptr && count < burst;
          run = run->next) {
-      if (run->remaining == 0) {
-        continue;
-      }
       Trace& tr = (*shared->slot_traces)[run->slot];
       const u32 take =
           static_cast<u32>(std::min<u64>(burst - count, run->remaining));
       for (u32 i = 0; i < take; ++i) {
-        ctxs[count + i] = SlotContext(tr[run->cursor]);
+        ctxs[count + i] = XdpContextOf(tr[run->cursor]);
         run->cursor = run->cursor + 1 < tr.size() ? run->cursor + 1 : 0;
       }
       parts[(*num_parts)++] = Part{run, take};
@@ -291,7 +296,9 @@ struct ScaleOutWorker {
   }
 
   // Dying worker: every owned flow-group is donated to the least-loaded
-  // survivor (re-steering the table), or dropped when nobody survives.
+  // survivor (re-steering the table), or dropped when nobody survives. The
+  // donation is marked failed; a slot's budget enters the failover total
+  // the first time a dying worker donates it.
   void DieDonate() {
     SlotRun* run = head_;
     head_ = nullptr;
@@ -322,13 +329,16 @@ struct ScaleOutWorker {
             continue;  // owner moved under us; re-read and retry
           }
         }
-        const SlotHandoff handoff{run->slot, cpu, run->cursor, run->remaining,
+        const SlotHandoff handoff{run->slot, cpu | kDonorFailedBit,
+                                  run->cursor, run->remaining,
                                   shared->table->Generation()};
         if ((*shared->rings)[target]->Donate(handoff)) {
           ++slots_donated;
           shared->failover_donations.fetch_add(1, std::memory_order_relaxed);
-          shared->donated_budget.fetch_add(run->remaining,
-                                           std::memory_order_relaxed);
+          if (!run->degraded) {
+            shared->donated_budget.fetch_add(run->remaining,
+                                             std::memory_order_relaxed);
+          }
           break;
         }
         ++donate_retries;
@@ -361,7 +371,7 @@ struct ScaleOutWorker {
 
     const auto pause_clock = [&] {
       if (clock_on) {
-        busy_seconds += ScaleOutThreadCpuSeconds() - t0;
+        busy_seconds += ThreadCpuSeconds() - t0;
         clock_on = false;
       }
     };
@@ -390,7 +400,7 @@ struct ScaleOutWorker {
           continue;
         }
         if (!clock_on) {
-          t0 = ScaleOutThreadCpuSeconds();
+          t0 = ThreadCpuSeconds();
           clock_on = true;
         }
         if constexpr (obs::kCompiledIn) {
@@ -415,18 +425,16 @@ struct ScaleOutWorker {
         for (u32 p = 0; p < num_parts; ++p) {
           SlotRun* run = parts[p].run;
           run->remaining -= parts[p].n;
+          if (run->degraded) {
+            stats.degraded += parts[p].n;
+          }
           shared->slot_remaining[run->slot].store(run->remaining,
                                                   std::memory_order_relaxed);
         }
-        SlotRun** link = &head_;
-        while (*link != nullptr) {
-          SlotRun* run = *link;
-          if (run->remaining == 0) {
-            *link = run->next;
-            FreeRun(run);
-          } else {
-            link = &run->next;
-          }
+        while (head_ != nullptr && head_->remaining == 0) {
+          SlotRun* run = head_;
+          head_ = run->next;
+          FreeRun(run);
         }
         done += count;
         shared->global_remaining.fetch_sub(count, std::memory_order_acq_rel);
@@ -772,9 +780,6 @@ ShardedPipeline::Result ShardedPipeline::MeasureScaleOut(
     }
     result.migration.handoffs += task.slots_adopted;
     result.migration.handoff_retries += task.donate_retries;
-    // Packets a shard served beyond its initial ownership are the scale-out
-    // analogue of the failover/migration "degraded" count: served on behalf
-    // of another shard's flows.
     result.total.packets += shard.stats.packets;
     result.total.dropped += shard.stats.dropped;
     result.total.passed += shard.stats.passed;
@@ -796,7 +801,9 @@ ShardedPipeline::Result ShardedPipeline::MeasureScaleOut(
   }
   // Failover accounting: the budget dying workers donated away, minus any
   // part of it that was ultimately dropped for want of survivors — i.e. the
-  // packets actually served elsewhere on behalf of failed shards.
+  // packets actually served elsewhere on behalf of failed shards. It is
+  // kept apart from the degraded counts the survivors report, and equals
+  // their sum whenever a worker survives.
   if (result.failed_workers > 0) {
     const u64 donated = shared.donated_budget.load(std::memory_order_relaxed);
     const u64 dropped = shared.dropped_budget.load(std::memory_order_relaxed);

@@ -5,11 +5,14 @@
 // receive-side-scaling hash over the 5-tuple, every queue is served by a
 // worker pinned to its own CPU, and each worker runs the burst datapath over
 // its queue. Flow affinity is a hard property — a flow's packets are only
-// ever processed on one worker, which is what keeps percpu map state
-// coherent without cross-CPU synchronization.
+// ever processed on one worker at a time, which is what keeps percpu map
+// state coherent without cross-CPU synchronization.
 //
-// Steering here is CRC32C over the packed 5-tuple modulo the worker count (a
-// symmetric stand-in for the NIC's Toeplitz hash + indirection table).
+// Steering is the NIC's two-level shape: a hash of the 5-tuple picks one of
+// kRssIndirectionSize indirection slots (RssSlotForPacket), and the
+// indirection table maps each slot to a queue (BuildRssIndirection). One
+// engine, MeasureScaleOut, serves every multi-core run; with migration off
+// its table stays frozen and it is the static-RSS deployment.
 //
 // Measurement model: the host may have fewer physical CPUs than simulated
 // workers (this harness often runs on a single shared vCPU), so per-shard
@@ -30,20 +33,11 @@
 
 namespace pktgen {
 
-// RSS steering decision for a 5-tuple: CRC32C(tuple) % num_queues.
-u32 RssQueueForTuple(const ebpf::FiveTuple& tuple, u32 num_queues, u32 seed);
-
-// Packet-level steering; packets that fail 5-tuple parsing land on queue 0
-// (real NICs steer non-IP traffic to a default queue).
-u32 RssQueueForPacket(const Packet& packet, u32 num_queues, u32 seed);
-
-// ---- RSS indirection table (failover re-steering) -------------------------
+// ---- RSS steering ----------------------------------------------------------
 //
-// Real NICs steer via hash -> indirection slot -> queue; shard failover is
-// the host rewriting the slots of a dead queue to point at survivors. The
-// sharded pipeline models that explicitly: the primary steering above is the
-// identity-indirection special case, and on a worker fault the failed
-// worker's unserved flows are re-steered through a rebuilt table.
+// Real NICs steer via hash -> indirection slot -> queue, and re-steer by
+// rewriting slots: shard failover points a dead queue's slots at survivors,
+// and migration moves single slots (flow-groups) between live queues.
 
 // Indirection slot count (128 matches common NIC defaults, e.g. ixgbe).
 inline constexpr u32 kRssIndirectionSize = 128;
@@ -51,34 +45,9 @@ inline constexpr u32 kRssIndirectionSize = 128;
 // Fresh table mapping slot i -> i % num_queues (every queue alive).
 std::vector<u32> BuildRssIndirection(u32 num_queues);
 
-// Rewrites every slot pointing at a dead queue (alive[q] == false) to the
-// least-loaded surviving queue. A survivor's load starts at its own queue
-// depth (`queue_depths[q]`, packets already steered to it) and grows by one
-// estimated slot share per absorbed slot, so the orphaned load lands on the
-// queues with headroom instead of spreading blindly by slot order. Slots on
-// live queues are untouched (their flows keep their affinity). No-op when no
-// queue survives. Ties go to the lowest queue index (deterministic).
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive,
-                           const std::vector<u64>& queue_depths);
-
-// Depth-blind variant: every survivor starts at zero load, so the rebuild
-// degenerates to an even spread (one slot share each, round-robin order).
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive);
-
-// Steering through an indirection table: CRC32C(tuple) selects a slot, the
-// slot names the queue.
-u32 RssQueueViaIndirection(const ebpf::FiveTuple& tuple,
-                           const std::vector<u32>& table, u32 seed);
-
-// Packet-level variant; unparseable packets land on the queue in slot 0.
-u32 RssQueueForPacketViaIndirection(const Packet& packet,
-                                    const std::vector<u32>& table, u32 seed);
-
-// Indirection slot (not queue) a packet hashes to: CRC32C(tuple) % size.
-// Unparseable packets land on slot 0. The scale-out pipeline splits its
-// trace by slot — the slot is the migration unit (a flow-group).
+// Indirection slot a packet hashes to: fmix32(CRC32C(tuple, seed)) %
+// table_size. Unparseable packets (real NICs steer non-IP traffic to a
+// default queue) and degenerate table sizes land on slot 0.
 u32 RssSlotForPacket(const Packet& packet, u32 table_size, u32 seed);
 
 // ---- Scale-out migration policy ------------------------------------------
@@ -135,18 +104,18 @@ class ShardedPipeline {
 
   struct ShardStats {
     u32 cpu = 0;
-    u64 queue_depth = 0;        // distinct trace packets steered to this queue
+    u64 queue_depth = 0;        // trace packets on initially owned slots
     double busy_seconds = 0.0;  // thread CPU time spent in the measured loop
     // Per-shard counts; pps/ns_per_packet are computed from busy_seconds
-    // (dedicated-core model), seconds == busy_seconds. For a survivor that
-    // absorbed failover load, stats.degraded counts the absorbed packets.
+    // (dedicated-core model), seconds == busy_seconds. stats.degraded counts
+    // the packets this shard served from flow-groups a dying worker donated.
     ThroughputStats stats;
     // This worker tripped its "shard.kill.<cpu>" fault point mid-measurement
     // and was drained; its stats cover only the packets it served pre-fault.
     bool failed = false;
     // Filled by the shard program's finish hook, if it installed one.
     std::vector<StageBreakdown> stages;
-    // Scale-out runs only: flow-group (indirection-slot) churn on this shard.
+    // Flow-group (indirection-slot) churn on this shard.
     u32 slots_initial = 0;  // slots owned at the start barrier
     u32 slots_adopted = 0;  // slots adopted from handoff descriptors
     u32 slots_donated = 0;  // slots donated away (migration or death)
@@ -162,9 +131,10 @@ class ShardedPipeline {
     std::vector<ShardStats> shards;
     double wall_seconds = 0.0;
     // Failover summary: workers that tripped a kill fault, and the unserved
-    // packet budget replayed onto survivors via the rebuilt indirection.
-    // If every worker fails (or a failed worker's queue cannot be re-steered)
-    // the unserved budget is dropped and total.packets < measure_packets.
+    // packet budget their donated flow-groups carried to survivors. While
+    // one worker survives, failover_packets == total.degraded. If every
+    // worker fails the unserved budget is dropped and total.packets <
+    // measure_packets.
     u32 failed_workers = 0;
     u64 failover_packets = 0;
     // Makespan view of the dedicated-core model: the run completes when its
@@ -178,23 +148,22 @@ class ShardedPipeline {
     // shard programs keep their counters attributed to the right stage even
     // when stage positions differ between shards).
     std::vector<StageBreakdown> total_stages;
-    // Scale-out runs only; zeroed by MeasureThroughput.
     MigrationStats migration;
   };
 
-  // Invoked once per worker on the calling thread before the workers start;
-  // the returned burst handler is owned by the pipeline for the run and
-  // invoked only from that worker's thread. Build per-worker NF state here
-  // (the RSS model: each core owns its queue, replica, or percpu shard) —
-  // sharing one non-thread-safe NF across workers is a data race.
   using BurstHandler =
       std::function<void(ebpf::XdpContext*, u32, ebpf::XdpAction*)>;
-  using HandlerFactory = std::function<BurstHandler(u32 cpu)>;
 
   // A shard program: the burst handler plus an optional finish hook, invoked
-  // on the coordinating thread after the shard's measurement (including any
-  // failover replay) completes. Multi-stage programs export their per-stage
-  // counters into the shard's StageBreakdown there.
+  // on the coordinating thread after every worker has joined. Multi-stage
+  // programs export their per-stage counters into the shard's
+  // StageBreakdown there.
+  //
+  // The factory is invoked once per worker on the calling thread before the
+  // workers start; the returned handler is owned by the pipeline for the run
+  // and invoked only from that worker's thread. Build per-worker NF state
+  // here (the RSS model: each core owns its queue, replica, or percpu
+  // shard) — sharing one non-thread-safe NF across workers is a data race.
   struct ShardProgram {
     BurstHandler handler;
     std::function<void(ShardStats&)> finish;
@@ -204,42 +173,25 @@ class ShardedPipeline {
   ShardedPipeline() : options_{} {}
   explicit ShardedPipeline(const Options& options);
 
-  // Steers the trace across the workers, replays each queue through its
-  // worker's handler, and merges per-CPU stats. Each worker measures
-  // measure_packets * (its queue depth / trace size) packets, so the
-  // offered-load split matches the flow split and the per-shard counts sum
-  // exactly to measure_packets.
-  //
-  // Failover: every worker probes its "shard.kill.<cpu>" fault point once
-  // per measured burst; a worker whose point fires stops serving, and after
-  // the join its unserved budget is replayed on the surviving workers'
-  // handlers with its queue re-steered through a rebuilt RSS indirection
-  // table. One failover round — the replay does not probe kill points
-  // (arming a second fault would need a second rebuild, which real NICs do,
-  // but one round is enough to measure the degradation cost).
-  Result MeasureThroughput(const HandlerFactory& factory,
-                           const Trace& trace) const;
-
-  // Program-factory variant; the plain HandlerFactory overload forwards here
-  // with no finish hooks.
-  Result MeasureThroughput(const ProgramFactory& factory,
-                           const Trace& trace) const;
-
-  // Skew-resilient scale-out engine (src/pktgen/scale_out.cc). Differences
-  // from MeasureThroughput:
-  //  * the work unit is the RSS indirection slot (flow-group), not the whole
-  //    queue: the trace is pre-split into 128 per-slot sub-traces with the
-  //    packet budget divided proportionally to slot depth;
-  //  * slot ownership is a live indirection table (flow_migration.h); an
-  //    obs-driven controller watches the per-shard "shard/<cpu>" latency
-  //    histograms plus per-slot backlog and re-steers the hottest shard's
-  //    slots to the coldest after `policy.k_windows` consecutive windows
-  //    over `policy.skew_threshold`;
+  // Slot-granular multi-core engine (src/pktgen/scale_out.cc):
+  //  * the work unit is the RSS indirection slot (flow-group): the trace is
+  //    pre-split into kRssIndirectionSize per-slot sub-traces, with the
+  //    packet budget divided proportionally to slot depth, so the offered
+  //    load follows the flow split and the per-shard counts sum exactly to
+  //    measure_packets;
+  //  * slot ownership is a live indirection table (flow_migration.h),
+  //    initially BuildRssIndirection(num_workers); an obs-driven controller
+  //    watches the per-shard "shard/<cpu>" latency histograms plus per-slot
+  //    backlog and re-steers the hottest shard's slots to the coldest after
+  //    `policy.k_windows` consecutive windows over `policy.skew_threshold`;
   //  * re-steered slot state moves through per-shard MPSC handoff rings at
   //    burst boundaries (handoff_ring.h) — per-flow order is preserved
-  //    across every re-steer, and a dying worker ("shard.kill.<cpu>", same
-  //    fault points as MeasureThroughput) donates its slots the same way,
-  //    so migration and failover compose;
+  //    across every re-steer;
+  //  * failover: every worker probes its "shard.kill.<cpu>" fault point once
+  //    per burst boundary; a worker whose point fires donates every owned
+  //    slot to the least-loaded survivors through the same rings, so
+  //    migration and failover compose, and survivors count what they serve
+  //    from donated slots in stats.degraded;
   //  * each worker binds its own SlabArena for all datapath bookkeeping
   //    (slot run-lists), so no allocation crosses a shard boundary.
   //
@@ -256,8 +208,8 @@ class ShardedPipeline {
 
 // Aggregates per-shard stage breakdowns by stage NAME, preserving first-seen
 // order. Merging by name (not index) keeps counters correctly attributed
-// when shard programs are heterogeneous — e.g. a survivor replaying a dead
-// shard's budget through a chain with different stage positions.
+// when shard programs are heterogeneous — chains whose stage positions
+// differ between shards.
 std::vector<ShardedPipeline::StageBreakdown> MergeStageBreakdowns(
     const std::vector<ShardedPipeline::ShardStats>& shards);
 

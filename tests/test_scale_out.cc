@@ -559,6 +559,9 @@ TEST_F(ScaleOutMigration, SeededKillComposesWithMigrationAtZeroLoss) {
   EXPECT_EQ(result.total.passed, opts.measure_packets);
   EXPECT_GE(result.migration.failover_donations, 1u);
   EXPECT_GT(result.failover_packets, 0u);
+  // Survivors count what they serve from donated flow-groups, also after a
+  // migration moved such a group on.
+  EXPECT_EQ(result.total.degraded, result.failover_packets);
 }
 
 TEST_F(ScaleOutMigration, AllWorkersDeadDropsTheResidualBudgetAndTerminates) {

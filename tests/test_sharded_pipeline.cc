@@ -1,5 +1,6 @@
-// Tests for the RSS-sharded pipeline: exact per-CPU accounting, flow
-// affinity of the steering hash, and edge cases.
+// Tests for the RSS-sharded pipeline on its static-RSS setting (migration
+// off): exact per-CPU accounting, flow affinity of the indirection-table
+// steering, and edge cases.
 #include "pktgen/sharded_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,14 @@
 
 namespace pktgen {
 namespace {
+
+constexpr MigrationPolicy kStatic{.enabled = false};
+
+// The queue a flow steers to through a fresh `queues`-way table.
+u32 QueueOf(const ebpf::FiveTuple& flow, u32 queues, u32 seed) {
+  return BuildRssIndirection(queues)[RssSlotForPacket(
+      Packet::FromTuple(flow), kRssIndirectionSize, seed)];
+}
 
 ShardedPipeline::Options SmallRun(u32 workers) {
   ShardedPipeline::Options opts;
@@ -30,23 +39,24 @@ struct WorkerObservation {
   std::set<u32> src_ips;
 };
 
-ShardedPipeline::HandlerFactory ObservingFactory(
+ShardedPipeline::ProgramFactory ObservingFactory(
     std::vector<WorkerObservation>& obs) {
-  return [&obs](u32 cpu) -> ShardedPipeline::BurstHandler {
+  return [&obs](u32 cpu) -> ShardedPipeline::ShardProgram {
     WorkerObservation* mine = &obs[cpu];
-    return [mine](ebpf::XdpContext* ctxs, u32 count,
-                  ebpf::XdpAction* verdicts) {
-      for (u32 i = 0; i < count; ++i) {
-        ++mine->packets;
-        ebpf::FiveTuple tuple;
-        if (ebpf::ParseFiveTuple(ctxs[i], &tuple)) {
-          mine->src_ips.insert(tuple.src_ip);
-          verdicts[i] = ebpf::XdpAction::kPass;
-        } else {
-          verdicts[i] = ebpf::XdpAction::kAborted;
-        }
-      }
-    };
+    return {[mine](ebpf::XdpContext* ctxs, u32 count,
+                   ebpf::XdpAction* verdicts) {
+              for (u32 i = 0; i < count; ++i) {
+                ++mine->packets;
+                ebpf::FiveTuple tuple;
+                if (ebpf::ParseFiveTuple(ctxs[i], &tuple)) {
+                  mine->src_ips.insert(tuple.src_ip);
+                  verdicts[i] = ebpf::XdpAction::kPass;
+                } else {
+                  verdicts[i] = ebpf::XdpAction::kAborted;
+                }
+              }
+            },
+            nullptr};
   };
 }
 
@@ -54,14 +64,14 @@ TEST(RssSteering, DeterministicAndInRange) {
   const auto flows = MakeFlowPopulation(256, 11);
   for (const u32 queues : {1u, 2u, 3u, 4u}) {
     for (const auto& flow : flows) {
-      const u32 q = RssQueueForTuple(flow, queues, 7);
+      const u32 q = QueueOf(flow, queues, 7);
       EXPECT_LT(q, queues);
-      EXPECT_EQ(q, RssQueueForTuple(flow, queues, 7));
+      EXPECT_EQ(q, QueueOf(flow, queues, 7));
     }
   }
   // Single queue: everything lands on 0.
   for (const auto& flow : flows) {
-    EXPECT_EQ(RssQueueForTuple(flow, 1, 7), 0u);
+    EXPECT_EQ(QueueOf(flow, 1, 7), 0u);
   }
 }
 
@@ -69,7 +79,7 @@ TEST(RssSteering, SpreadsFlowsAcrossQueues) {
   const auto flows = MakeFlowPopulation(1024, 12);
   u32 counts[4] = {0, 0, 0, 0};
   for (const auto& flow : flows) {
-    ++counts[RssQueueForTuple(flow, 4, 0)];
+    ++counts[QueueOf(flow, 4, 0)];
   }
   for (const u32 c : counts) {
     EXPECT_GT(c, 128u);  // expected 256 per queue
@@ -83,7 +93,8 @@ TEST(ShardedPipeline, PerCpuStatsSumExactlyToGlobal) {
   for (const u32 workers : {1u, 2u, 3u}) {
     const ShardedPipeline pipeline(SmallRun(workers));
     std::vector<WorkerObservation> obs(ebpf::kNumPossibleCpus);
-    const auto result = pipeline.MeasureThroughput(ObservingFactory(obs), trace);
+    const auto result =
+        pipeline.MeasureScaleOut(ObservingFactory(obs), trace, kStatic);
 
     ASSERT_EQ(result.shards.size(), workers);
     u64 packets = 0, dropped = 0, passed = 0, aborted = 0, depth = 0;
@@ -113,7 +124,7 @@ TEST(ShardedPipeline, FlowAffinityKeepsEachFlowOnOneWorker) {
   opts.rss_seed = 23;
   const ShardedPipeline pipeline(opts);
   std::vector<WorkerObservation> obs(ebpf::kNumPossibleCpus);
-  (void)pipeline.MeasureThroughput(ObservingFactory(obs), trace);
+  (void)pipeline.MeasureScaleOut(ObservingFactory(obs), trace, kStatic);
 
   // Disjoint: no src ip appears on two workers (src_ip uniquely identifies a
   // flow in MakeFlowPopulation).
@@ -125,9 +136,10 @@ TEST(ShardedPipeline, FlowAffinityKeepsEachFlowOnOneWorker) {
       }
     }
   }
-  // And each observed flow sits exactly where RssQueueForTuple steers it.
+  // And each observed flow sits exactly where the indirection table steers
+  // it.
   for (const auto& flow : flows) {
-    const u32 q = RssQueueForTuple(flow, 3, opts.rss_seed);
+    const u32 q = QueueOf(flow, 3, opts.rss_seed);
     for (u32 w = 0; w < 3; ++w) {
       if (w != q) {
         EXPECT_EQ(obs[w].src_ips.count(flow.src_ip), 0u);
@@ -142,23 +154,25 @@ TEST(ShardedPipeline, WorkerCountIsClamped) {
   std::vector<WorkerObservation> obs(ebpf::kNumPossibleCpus);
 
   auto opts = SmallRun(0);  // clamped up to 1
-  const auto one = ShardedPipeline(opts).MeasureThroughput(
-      ObservingFactory(obs), trace);
+  const auto one =
+      ShardedPipeline(opts).MeasureScaleOut(ObservingFactory(obs), trace,
+                                            kStatic);
   EXPECT_EQ(one.shards.size(), 1u);
 
   opts.num_workers = 1000;  // clamped down to kNumPossibleCpus
   for (auto& o : obs) {
     o = WorkerObservation{};
   }
-  const auto many = ShardedPipeline(opts).MeasureThroughput(
-      ObservingFactory(obs), trace);
+  const auto many =
+      ShardedPipeline(opts).MeasureScaleOut(ObservingFactory(obs), trace,
+                                            kStatic);
   EXPECT_EQ(many.shards.size(), static_cast<std::size_t>(ebpf::kNumPossibleCpus));
 }
 
 TEST(ShardedPipeline, EmptyTraceYieldsZeroStats) {
   std::vector<WorkerObservation> obs(ebpf::kNumPossibleCpus);
-  const auto result = ShardedPipeline(SmallRun(2)).MeasureThroughput(
-      ObservingFactory(obs), Trace{});
+  const auto result = ShardedPipeline(SmallRun(2)).MeasureScaleOut(
+      ObservingFactory(obs), Trace{}, kStatic);
   EXPECT_EQ(result.total.packets, 0u);
   EXPECT_TRUE(result.shards.empty());
 }
@@ -168,18 +182,19 @@ TEST(ShardedPipeline, WorkersRunOnTheirSimulatedCpus) {
   const auto trace = MakeUniformTrace(flows, 512, 20);
   std::vector<u32> seen_cpu(ebpf::kNumPossibleCpus, 0xffffffffu);
   const ShardedPipeline pipeline(SmallRun(2));
-  const auto result = pipeline.MeasureThroughput(
-      [&seen_cpu](u32 cpu) -> ShardedPipeline::BurstHandler {
+  const auto result = pipeline.MeasureScaleOut(
+      [&seen_cpu](u32 cpu) -> ShardedPipeline::ShardProgram {
         u32* cell = &seen_cpu[cpu];
-        return [cell](ebpf::XdpContext*, u32 count,
-                      ebpf::XdpAction* verdicts) {
-          *cell = ebpf::CurrentCpu();
-          for (u32 i = 0; i < count; ++i) {
-            verdicts[i] = ebpf::XdpAction::kPass;
-          }
-        };
+        return {[cell](ebpf::XdpContext*, u32 count,
+                       ebpf::XdpAction* verdicts) {
+                  *cell = ebpf::CurrentCpu();
+                  for (u32 i = 0; i < count; ++i) {
+                    verdicts[i] = ebpf::XdpAction::kPass;
+                  }
+                },
+                nullptr};
       },
-      trace);
+      trace, kStatic);
   for (const auto& shard : result.shards) {
     if (shard.stats.packets > 0) {
       EXPECT_EQ(seen_cpu[shard.cpu], shard.cpu);
