@@ -3,7 +3,8 @@
 // Part 1 — hot-swap latency (request-to-commit, ReconfigStats::last_swap_ns)
 // for the three swap modes:
 //   twin-inline    warm replacement, immediate commit at the call's burst
-//                  boundary (build + verify + prog-array flip + demote);
+//                  boundary (build + verify + fused-program rebuild +
+//                  prog-array flip);
 //   state-transfer katran-lb backend swap exporting/importing the recorded
 //                  connection table (the affinity-preserving path);
 //   shadow-8       dual-write warm-up over 8 bursts — the latency window
@@ -12,8 +13,8 @@
 //                  flight during the swap" the harness reports.
 //
 // Part 2 — throughput under a reconfiguration storm: per chain depth, the
-// steady rate of an untouched fused chain vs the same chain with an inline
-// twin swap (plus re-promotion) fired from the datapath every
+// steady rate of an untouched chain vs the same chain with an inline twin
+// swap (which rebuilds the fused program) fired from the datapath every
 // kStormSwapPeriod bursts. The transient dip is the price of live
 // reconfiguration; the acceptance budget is a <5% dip.
 #include <algorithm>
@@ -105,8 +106,6 @@ LatencySummary MeasureTwinInline(const nf::BenchEnv& env, int reps) {
     std::fprintf(stderr, "bench_reconfig: chain construction failed\n");
     std::exit(1);
   }
-  chain->EnableFusion();
-  chain->TryPromoteNow();
   nf::ChainReconfig plane(*chain);
   std::vector<u64> ns;
   for (int rep = 0; rep < reps; ++rep) {
@@ -119,7 +118,6 @@ LatencySummary MeasureTwinInline(const nf::BenchEnv& env, int reps) {
       std::exit(1);
     }
     ns.push_back(plane.stats().last_swap_ns);
-    chain->TryPromoteNow();  // re-specialize after the demoting edit
   }
   return Summarize(std::move(ns));
 }
@@ -200,7 +198,7 @@ LatencySummary MeasureShadowWarmup(const nf::BenchEnv& env, int reps,
 }
 
 // Steady vs storm throughput for one chain depth. The storm handler fires
-// an inline twin swap (then re-promotes) from inside the datapath every
+// an inline twin swap from inside the datapath every
 // kStormSwapPeriod bursts — the swap's full cost lands in the measured
 // window, which is exactly the transient dip the budget bounds.
 void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
@@ -211,8 +209,6 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
     std::fprintf(stderr, "bench_reconfig: depth-%u chain failed\n", depth);
     std::exit(1);
   }
-  chain->EnableFusion();
-  chain->TryPromoteNow();
   nf::ChainReconfig plane(*chain);
 
   pktgen::Pipeline::Options opts;
@@ -238,7 +234,8 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
     best_steady = std::max(best_steady, steady.pps);
 
     // Replacements are built off the measured path (a real control plane
-    // prepares them out-of-band); the storm pays commit + re-promotion.
+    // prepares them out-of-band); the storm pays the commit, fused-program
+    // rebuild included.
     std::vector<std::unique_ptr<nf::NetworkFunction>> twins;
     for (std::size_t i = 0; i < swaps_per_pass; ++i) {
       twins.push_back(MakeTwin("cuckoo-filter", env));
@@ -251,7 +248,6 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
         (void)plane.SwapNfWith("cuckoo-filter", std::move(twins.back()),
                                InlineSwap());
         twins.pop_back();
-        plane.chain().TryPromoteNow();
       }
     };
     const auto storm =

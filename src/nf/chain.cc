@@ -1,6 +1,5 @@
 #include "nf/chain.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -8,7 +7,16 @@
 
 namespace nf {
 
-using detail::ChainNowNs;
+namespace {
+
+ChainStageStats FreshStats(const NetworkFunction& nf) {
+  ChainStageStats stats;
+  stats.name = std::string(nf.name());
+  stats.variant = nf.variant();
+  return stats;
+}
+
+}  // namespace
 
 ChainExecutor::ChainExecutor(std::string name) : name_(std::move(name)) {}
 
@@ -23,11 +31,20 @@ ChainExecutor& ChainExecutor::AddStage(std::unique_ptr<NetworkFunction> stage) {
   return *this;
 }
 
-void ChainExecutor::RegisterStageScope(u32 i) {
+u16 ChainExecutor::StageScope(u32 i, const NetworkFunction& nf) const {
   // Registering scopes also constructs the telemetry singleton, which
   // registers the ringbuf kfuncs the stage manifests declare.
-  stage_scopes_[i] = obs::Telemetry::Global().RegisterScope(
-      name_ + "/" + std::to_string(i) + ":" + std::string(stages_[i]->name()));
+  return obs::Telemetry::Global().RegisterScope(
+      name_ + "/" + std::to_string(i) + ":" + std::string(nf.name()));
+}
+
+std::vector<NetworkFunction*> ChainExecutor::StageView() const {
+  std::vector<NetworkFunction*> view;
+  view.reserve(stages_.size());
+  for (const auto& stage : stages_) {
+    view.push_back(stage.get());
+  }
+  return view;
 }
 
 ebpf::VerifyResult ChainExecutor::BuildProgramFor(
@@ -84,11 +101,76 @@ ebpf::VerifyResult ChainExecutor::BuildProgramFor(
   return (*out)->Load();
 }
 
-void ChainExecutor::BindStageMeta(u32 i) {
-  stats_[i] = ChainStageStats{};
-  stats_[i].name = std::string(stages_[i]->name());
-  stats_[i].variant = stages_[i]->variant();
-  RegisterStageScope(i);
+std::unique_ptr<FusedChain> ChainExecutor::Fuse(
+    const std::vector<NetworkFunction*>& view, const std::vector<u16>& scopes,
+    ChainStageStats* stats) const {
+  std::vector<FusedStage> fused(view.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    fused[i].nf = view[i];
+    fused[i].scope = scopes[i];
+    fused[i].stats = &stats[i];
+    if (auto op = view[i]->LowerToKeyOp()) {
+      fused[i].lowered = true;
+      fused[i].contains = std::move(op->contains);
+    }
+  }
+  return FusedChain::Fuse(std::move(fused), fusion_stats_.generation + 1);
+}
+
+void ChainExecutor::InstallFused(std::unique_ptr<FusedChain> fused) {
+  if (fused_ != nullptr) {
+    ++fusion_stats_.demotions;
+  }
+  ++fusion_stats_.promotions;
+  fusion_stats_.generation = fused->generation();
+  fused_ = std::move(fused);
+}
+
+ebpf::VerifyResult ChainExecutor::BuildChain(
+    const std::vector<NetworkFunction*>& view,
+    std::vector<ChainStageStats> stats, ChainBuild* out) {
+  ebpf::VerifyResult result;
+  const u32 depth = static_cast<u32>(view.size());
+  // Scope names embed the stage index, so every slot re-registers.
+  out->scopes.resize(depth);
+  for (u32 i = 0; i < depth; ++i) {
+    out->scopes[i] = StageScope(i, *view[i]);
+  }
+  out->programs.resize(depth);
+  for (u32 i = 0; i < depth; ++i) {
+    const ebpf::VerifyResult stage_result =
+        BuildProgramFor(view[i], i, depth, &out->programs[i]);
+    if (!stage_result.ok) {
+      result.ok = false;
+      for (const std::string& error : stage_result.errors) {
+        result.errors.push_back(error);
+      }
+    }
+  }
+  if (!result.ok) {
+    return result;
+  }
+  out->prog_array = std::make_unique<ebpf::ProgArrayMap>(depth);
+  for (u32 i = 0; i < depth; ++i) {
+    if (out->prog_array->UpdateElem(i, out->programs[i].get()) != ebpf::kOk) {
+      result.Fail(name_ + ": prog array rejected stage " + std::to_string(i));
+      return result;
+    }
+  }
+  out->stats = std::move(stats);
+  out->fused = Fuse(view, out->scopes, out->stats.data());
+  if (out->fused == nullptr) {
+    result.Fail(name_ + ": fused program refused the stage set");
+  }
+  return result;
+}
+
+void ChainExecutor::CommitChain(ChainBuild build) {
+  InstallFused(std::move(build.fused));
+  programs_ = std::move(build.programs);
+  prog_array_ = std::move(build.prog_array);
+  stats_ = std::move(build.stats);  // keeps the slots the fused program uses
+  stage_scopes_ = std::move(build.scopes);
 }
 
 ebpf::VerifyResult ChainExecutor::Load() {
@@ -97,44 +179,15 @@ ebpf::VerifyResult ChainExecutor::Load() {
     result.Fail(name_ + ": chain has no stages");
     return result;
   }
-
-  // (Re)loading is a reconfiguration: the fused program, if any, is built
-  // against the previous structure.
-  Demote();
-
-  const u32 depth = this->depth();
-  programs_.clear();
-  programs_.resize(depth);
-  prog_array_ = std::make_unique<ebpf::ProgArrayMap>(depth);
-  stats_.assign(depth, ChainStageStats{});
-  stage_scopes_.assign(depth, obs::kInvalidScope);
-  fusion_scope_ = obs::Telemetry::Global().RegisterScope(name_ + "/fused");
-  for (u32 i = 0; i < depth; ++i) {
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
+  std::vector<ChainStageStats> stats;
+  for (const auto& stage : stages_) {
+    stats.push_back(FreshStats(*stage));
   }
-
-  for (u32 i = 0; i < depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(stages_[i].get(), i, depth, &programs_[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-
+  ChainBuild build;
+  result = BuildChain(StageView(), std::move(stats), &build);
   if (result.ok) {
-    for (u32 i = 0; i < depth; ++i) {
-      if (prog_array_->UpdateElem(i, programs_[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i));
-      }
-    }
+    CommitChain(std::move(build));
   }
-
   loaded_ = result.ok;
   return result;
 }
@@ -148,14 +201,25 @@ ebpf::VerifyResult ChainExecutor::ReplaceStage(
     return result;
   }
 
-  // Build + verify the replacement program aside. Nothing is committed yet:
-  // a rejected replacement must leave the chain bit-identical — old stage,
-  // old program, and a live fused program all intact (no spurious
-  // demotion/generation bump, which the pre-commit rollback contract of the
-  // reconfig plane relies on).
+  // Build + verify the replacement program and the fused program over the
+  // post-edit stages aside. Nothing is committed yet: a rejected
+  // replacement must leave the chain bit-identical — old stage, old
+  // program, old fused program and generation (the pre-commit rollback
+  // contract of the reconfig plane relies on it).
   std::unique_ptr<ebpf::XdpProgram> program;
   result = BuildProgramFor(stage.get(), i, depth(), &program);
   if (!result.ok) {
+    return result;
+  }
+  std::vector<NetworkFunction*> view = StageView();
+  view[i] = stage.get();
+  std::vector<u16> scopes = stage_scopes_;
+  scopes[i] = StageScope(i, *stage);
+  // Slot i keeps its address; the commit below resets its counters.
+  std::unique_ptr<FusedChain> fused = Fuse(view, scopes, stats_.data());
+  if (fused == nullptr) {
+    result.Fail(name_ + ": fused program refused replacement stage " +
+                std::to_string(i));
     return result;
   }
 
@@ -168,13 +232,13 @@ ebpf::VerifyResult ChainExecutor::ReplaceStage(
     return result;
   }
 
-  // Committed. Structural change: drop the fused program (folded over the
-  // old stage pointer) before the old NF is destroyed, so the generic walk
-  // with the new stage is what the next burst runs.
-  Demote();
+  // Committed. The fused program folded over the old stage pointer retires
+  // before the old NF is destroyed; the next burst runs the rebuilt one.
+  InstallFused(std::move(fused));
   stages_[i] = std::move(stage);
   programs_[i] = std::move(program);
-  BindStageMeta(i);
+  stats_[i] = FreshStats(*stages_[i]);
+  stage_scopes_ = std::move(scopes);
   return result;
 }
 
@@ -196,58 +260,21 @@ ebpf::VerifyResult ChainExecutor::InsertStage(
     return result;
   }
 
-  // Post-edit stage view (suffix depths shift, so every program rebuilds).
-  std::vector<NetworkFunction*> view;
-  view.reserve(new_depth);
-  for (u32 i = 0; i < pos; ++i) {
-    view.push_back(stages_[i].get());
-  }
-  view.push_back(stage.get());
-  for (u32 i = pos; i < depth(); ++i) {
-    view.push_back(stages_[i].get());
-  }
-
-  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs(new_depth);
-  std::unique_ptr<ebpf::ProgArrayMap> array =
-      std::make_unique<ebpf::ProgArrayMap>(new_depth);
-  for (u32 i = 0; i < new_depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(view[i], i, new_depth, &programs[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-  if (result.ok) {
-    for (u32 i = 0; i < new_depth; ++i) {
-      if (array->UpdateElem(i, programs[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i) + " during insert");
-        break;
-      }
-    }
-  }
+  // Post-edit view (suffix depths shift, so every program rebuilds); the
+  // surviving stages keep their verdict counters.
+  std::vector<NetworkFunction*> view = StageView();
+  view.insert(view.begin() + pos, stage.get());
+  std::vector<ChainStageStats> stats = stats_;
+  stats.insert(stats.begin() + pos, FreshStats(*stage));
+  ChainBuild build;
+  result = BuildChain(view, std::move(stats), &build);
   if (!result.ok) {
     return result;  // nothing committed; chain bit-identical
   }
-
-  // Commit the whole post-edit set at once (no packet observes a mix of old
-  // and new suffix depths), demoting any fused program first.
-  Demote();
+  // Commit the whole post-edit set at once: no packet observes a mix of old
+  // and new suffix depths.
   stages_.insert(stages_.begin() + pos, std::move(stage));
-  programs_ = std::move(programs);
-  prog_array_ = std::move(array);
-  stats_.insert(stats_.begin() + pos, ChainStageStats{});
-  stage_scopes_.assign(new_depth, obs::kInvalidScope);
-  for (u32 i = 0; i < new_depth; ++i) {
-    // Scope names embed the stage index, so every slot re-registers; the
-    // surviving stages keep their verdict counters.
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
-  }
+  CommitChain(std::move(build));
   return result;
 }
 
@@ -262,55 +289,20 @@ ebpf::VerifyResult ChainExecutor::RemoveStage(u32 pos) {
     result.Fail(name_ + ": RemoveStage would leave an empty chain");
     return result;
   }
-  const u32 new_depth = depth() - 1;
 
-  std::vector<NetworkFunction*> view;
-  view.reserve(new_depth);
-  for (u32 i = 0; i < depth(); ++i) {
-    if (i != pos) {
-      view.push_back(stages_[i].get());
-    }
-  }
-
-  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs(new_depth);
-  std::unique_ptr<ebpf::ProgArrayMap> array =
-      std::make_unique<ebpf::ProgArrayMap>(new_depth);
-  for (u32 i = 0; i < new_depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(view[i], i, new_depth, &programs[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-  if (result.ok) {
-    for (u32 i = 0; i < new_depth; ++i) {
-      if (array->UpdateElem(i, programs[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i) + " during remove");
-        break;
-      }
-    }
-  }
+  std::vector<NetworkFunction*> view = StageView();
+  view.erase(view.begin() + pos);
+  std::vector<ChainStageStats> stats = stats_;
+  stats.erase(stats.begin() + pos);
+  ChainBuild build;
+  result = BuildChain(view, std::move(stats), &build);
   if (!result.ok) {
     return result;
   }
-
-  // Commit: demote first — the fused program folded the removed stage's NF
-  // pointer, which is destroyed by the erase below.
-  Demote();
+  // Commit first: the retired fused program and stage programs are the last
+  // holders of the removed NF's pointer, which the erase destroys.
+  CommitChain(std::move(build));
   stages_.erase(stages_.begin() + pos);
-  programs_ = std::move(programs);
-  prog_array_ = std::move(array);
-  stats_.erase(stats_.begin() + pos);
-  stage_scopes_.assign(new_depth, obs::kInvalidScope);
-  for (u32 i = 0; i < new_depth; ++i) {
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
-  }
   return result;
 }
 
@@ -328,170 +320,8 @@ void ChainExecutor::ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
     throw std::logic_error("ChainExecutor::ProcessBurst on unloaded chain '" +
                            name_ + "'");
   }
-  ForEachNfChunk(count, [&](u32 start, u32 chunk) {
-    // One fused-program read per chunk: a demotion (reconfiguration) between
-    // chunks is honored at the next chunk boundary and is never observed
-    // mid-walk — the chunk runs to completion on the program it started on.
-    FusedChain* const fused = fused_.get();
-    if (fused != nullptr) {
-      ++fusion_stats_.fused_bursts;
-      fusion_stats_.fused_packets += chunk;
-      fused->ExecuteBurst(ctxs + start, chunk, verdicts + start);
-      return;
-    }
-    ++fusion_stats_.generic_bursts;
-    BurstChunk(ctxs + start, chunk, verdicts + start);
-    if (fusion_armed_) {
-      MaybePromote(chunk);
-    }
-  });
-}
-
-void ChainExecutor::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
-                               ebpf::XdpAction* verdicts) {
-  // Compacted survivor set (hoisted member scratch — no per-burst setup
-  // beyond the initial copy): live[i] holds the context of original slot
-  // slot_of[i], in arrival order. Each stage processes the whole survivor
-  // burst at once, then non-PASS packets retire their verdict into the
-  // original slot and PASS survivors regroup for the next stage.
-  ebpf::XdpContext* live = burst_live_;
-  u32* slot_of = burst_slot_of_;
-  ebpf::XdpAction* stage_verdicts = burst_verdicts_;
-  for (u32 i = 0; i < count; ++i) {
-    live[i] = ctxs[i];
-    slot_of[i] = i;
-  }
-
-  u32 survivors = count;
-  const u32 depth = this->depth();
-  for (u32 s = 0; s < depth && survivors > 0; ++s) {
-    ChainStageStats& stats = stats_[s];
-    const u64 t0 = ChainNowNs();
-    stages_[s]->ProcessBurst(live, survivors, stage_verdicts);
-    const u64 stage_ns = ChainNowNs() - t0;
-    stats.ns += stage_ns;
-    stats.in += survivors;
-    if constexpr (obs::kCompiledIn) {
-      // Reuses the stage timing already taken above: sampled packets are
-      // attributed the burst-average latency, so the burst path adds no
-      // extra clock reads.
-      obs::Telemetry::Global().RecordBurst(
-          stage_scopes_[s], stage_ns, survivors,
-          [&](u32 idx) { return obs::FlowOf(live[idx]); });
-    }
-
-    const bool last = s + 1 == depth;
-    u32 next = 0;
-    for (u32 i = 0; i < survivors; ++i) {
-      const ebpf::XdpAction action = stage_verdicts[i];
-      stats.Count(action);
-      if (action == ebpf::XdpAction::kPass && !last) {
-        live[next] = live[i];
-        slot_of[next] = slot_of[i];
-        ++next;
-      } else {
-        verdicts[slot_of[i]] = action;
-      }
-    }
-    survivors = next;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Fusion state machine
-// --------------------------------------------------------------------------
-
-void ChainExecutor::EnableFusion(FusionPolicy policy) {
-  fusion_policy_ = policy;
-  if (fusion_policy_.hot_bursts == 0) {
-    fusion_policy_.hot_bursts = 1;
-  }
-  fusion_armed_ = true;
-  stable_bursts_ = 0;
-  observed_pkts_ = 0;
-}
-
-void ChainExecutor::DisableFusion() {
-  Demote();
-  fusion_armed_ = false;
-}
-
-bool ChainExecutor::TryPromoteNow() {
-  if (!fusion_armed_ || !loaded_) {
-    return false;
-  }
-  return PromoteNow();
-}
-
-void ChainExecutor::MaybePromote(u32 pkts) {
-  observed_pkts_ += pkts;
-  ++stable_bursts_;
-  if (stable_bursts_ < fusion_policy_.hot_bursts ||
-      observed_pkts_ < fusion_policy_.min_packets) {
-    return;
-  }
-  // Cross-check hotness against the chain's own observability plane: the
-  // entry stage's counters must account for the traffic, so a freshly
-  // reset / reconfigured chain never promotes on stale bookkeeping.
-  if (stats_.empty() || stats_[0].in < fusion_policy_.min_packets) {
-    return;
-  }
-  (void)PromoteNow();
-}
-
-bool ChainExecutor::PromoteNow() {
-  if (fused_ != nullptr) {
-    return true;
-  }
-  const u32 depth = this->depth();
-  if (!ebpf::FusionWithinTailCallBudget(depth)) {
-    return false;
-  }
-  // Constant-fold the per-stage config: stage pointers, scope ids, stats
-  // slots, observed latency, and key-level lowerings resolve once, here.
-  std::vector<FusedStage> fused_stages;
-  fused_stages.reserve(depth);
-  for (u32 i = 0; i < depth; ++i) {
-    FusedStage stage;
-    stage.nf = stages_[i].get();
-    stage.scope = stage_scopes_[i];
-    stage.stats = &stats_[i];
-    if (auto op = stages_[i]->LowerToKeyOp()) {
-      stage.lowered = true;
-      stage.contains = std::move(op->contains);
-    }
-    if constexpr (obs::kCompiledIn) {
-      const obs::LatencyHist hist =
-          obs::Telemetry::Global().Snapshot(stage_scopes_[i]);
-      stage.expected_ns = hist.samples > 0 ? hist.total_ns / hist.samples : 0;
-    }
-    fused_stages.push_back(std::move(stage));
-  }
-  fused_ = FusedChain::Fuse(std::move(fused_stages), fusion_stats_.generation);
-  if (fused_ == nullptr) {
-    return false;
-  }
-  ++fusion_stats_.promotions;
-  if constexpr (obs::kCompiledIn) {
-    obs::Telemetry::Global().RecordControl(fusion_scope_, kFusionPromoteCode,
-                                           fusion_stats_.generation);
-  }
-  return true;
-}
-
-void ChainExecutor::Demote() {
-  stable_bursts_ = 0;
-  observed_pkts_ = 0;
-  ++fusion_stats_.generation;
-  if (fused_ == nullptr) {
-    return;
-  }
-  fused_.reset();
-  ++fusion_stats_.demotions;
-  if constexpr (obs::kCompiledIn) {
-    obs::Telemetry::Global().RecordControl(fusion_scope_, kFusionDemoteCode,
-                                           fusion_stats_.generation);
-  }
+  fusion_stats_.fused_packets += count;
+  fused_->ExecuteBurst(ctxs, count, verdicts);
 }
 
 Variant ChainExecutor::variant() const {
@@ -516,12 +346,8 @@ Variant ChainExecutor::variant() const {
 }
 
 void ChainExecutor::ResetStageStats() {
-  for (ChainStageStats& stats : stats_) {
-    const std::string name = stats.name;
-    const Variant variant = stats.variant;
-    stats = ChainStageStats{};
-    stats.name = name;
-    stats.variant = variant;
+  for (u32 i = 0; i < depth(); ++i) {
+    stats_[i] = FreshStats(*stages_[i]);
   }
 }
 

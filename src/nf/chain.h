@@ -7,23 +7,15 @@
 // chain with that verdict, exactly as an XDP program returning DROP/TX ends
 // packet processing. Load() pushes every stage through the metadata-assisted
 // verifier; a chain of more than ebpf::kMaxTailCallChain (33) programs is
-// rejected at load time, mirroring MAX_TAIL_CALL_CNT.
+// rejected at load time, mirroring MAX_TAIL_CALL_CNT. The scalar walk is the
+// semantic oracle every other execution path is checked against.
 //
-// Burst path — the burst stays batched through the chain: each stage's
-// ProcessBurst runs over the compacted survivors of the previous stage, then
-// verdicts are partitioned (kPass continues, anything else exits at its
-// original slot) and survivors regrouped in arrival order. Because stages
-// are independent state machines and survivors keep arrival order, every
-// stage sees exactly the packets (in exactly the order) it would see under
-// per-packet scalar traversal — so chain verdicts are bit-identical to the
-// scalar path, given stage ProcessBurst == scalar Process (the repo-wide
-// batching invariant).
-//
-// Fused path (nf/fused_chain.h) — chains observed hot and structurally
-// stable promote to a single-pass specialized executor that carries a
-// per-burst verdict bitmask through constant-folded stages; any
-// reconfiguration demotes back to the generic walk, which remains the
-// semantic oracle.
+// Burst path — the fused executor (nf/fused_chain.h), built at Load() and
+// rebuilt inside every committed stage edit: one stage-major pass per burst
+// that carries a verdict bitmask through constant-folded stages. Every stage
+// sees exactly the packets (in exactly the order) it would see under
+// per-packet scalar traversal, so burst verdicts, frames and per-stage
+// counters are bit-identical to the scalar path.
 #ifndef ENETSTL_NF_CHAIN_H_
 #define ENETSTL_NF_CHAIN_H_
 
@@ -56,8 +48,8 @@ struct ChainStageStats {
 
   u64 out() const { return pass; }
 
-  // Verdict-histogram update shared by the scalar walk, the generic burst
-  // walk, and the fused executor.
+  // Verdict-histogram update shared by the scalar walk and the fused
+  // executor.
   void Count(ebpf::XdpAction action) {
     switch (action) {
       case ebpf::XdpAction::kPass:
@@ -92,9 +84,10 @@ class ChainExecutor : public NetworkFunction {
   // Appends a stage; only valid before Load().
   ChainExecutor& AddStage(std::unique_ptr<NetworkFunction> stage);
 
-  // Builds the per-stage XDP programs and the prog array, verifying every
-  // program. The chain is runnable only if the result is ok; chains deeper
-  // than ebpf::kMaxTailCallChain stages fail verification.
+  // Builds the per-stage XDP programs, the prog array and the fused burst
+  // program, verifying every stage program. The chain is runnable only if
+  // the result is ok; chains deeper than ebpf::kMaxTailCallChain stages fail
+  // verification. Reloading a loaded chain rebuilds everything.
   ebpf::VerifyResult Load();
   bool loaded() const { return loaded_; }
 
@@ -102,7 +95,7 @@ class ChainExecutor : public NetworkFunction {
   // XdpProgram::Run) if the chain is not loaded.
   ebpf::XdpAction Process(ebpf::XdpContext& ctx) override;
 
-  // Burst path: partition-and-regroup per stage; accepts any count.
+  // Burst path: the fused program; accepts any count.
   void ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
                     ebpf::XdpAction* verdicts) override;
 
@@ -117,23 +110,9 @@ class ChainExecutor : public NetworkFunction {
   const std::vector<ChainStageStats>& stage_stats() const { return stats_; }
   void ResetStageStats();
 
-  // --- Hot-chain specialization (see nf/fused_chain.h) ---
-
-  // Arms obs-driven promotion: once the chain has been observed hot and
-  // structurally stable against `policy` (judged from stage_stats, the same
-  // counters the telemetry plane attributes), bursts switch to the fused
-  // single-pass executor. Scalar Process() always takes the generic
-  // tail-call walk — the semantic oracle fusion is checked against.
-  void EnableFusion(FusionPolicy policy = FusionPolicy{});
-  // Demotes (if fused) and disarms promotion.
-  void DisableFusion();
-  // Forces promotion immediately, bypassing the hotness thresholds (benches
-  // and tests). Returns false when fusion is not armed, the chain is
-  // unloaded, or the depth fails the tail-call budget eligibility check;
-  // true when the chain is fused on return.
-  bool TryPromoteNow();
-  bool fused() const { return fused_ != nullptr; }
-  const FusionPolicy& fusion_policy() const { return fusion_policy_; }
+  // No-op, kept so existing callers build: every loaded chain already runs
+  // its bursts fused.
+  void EnableFusion() {}
   const FusionStats& fusion_stats() const { return fusion_stats_; }
 
   // Atomically replaces stage `i`: builds and verifies a fresh program bound
@@ -141,11 +120,11 @@ class ChainExecutor : public NetworkFunction {
   // live-update idiom prog arrays exist for) and swapping the stage in.
   // Ordering guarantees:
   //  * verification failure or a rejected prog-array update happens BEFORE
-  //    anything is committed — the chain (including a live fused program) is
-  //    left bit-identical to its pre-call state;
-  //  * a successful replacement demotes the chain to the generic walk before
-  //    the next burst (the fused program never outlives the stage set it was
-  //    folded from).
+  //    anything is committed — the chain (including its fused program and
+  //    generation) is left bit-identical to its pre-call state;
+  //  * the fused program is rebuilt against the new stage before the old NF
+  //    is destroyed, so the next burst runs the new stage set (a fused
+  //    program never outlives the stage set it was folded from).
   ebpf::VerifyResult ReplaceStage(u32 i,
                                   std::unique_ptr<NetworkFunction> stage);
 
@@ -154,14 +133,32 @@ class ChainExecutor : public NetworkFunction {
   // EVERY stage program and a fresh prog array aside, then commits the whole
   // set at once — no packet can observe a half-edited chain, and the
   // tail-call budget (<= 33 stages) is revalidated before any commit.
-  // Failure leaves the chain bit-identical; success demotes any fused
-  // program. `pos` for InsertStage may equal depth() (append).
+  // Failure leaves the chain bit-identical; success commits a rebuilt fused
+  // program with the rest. `pos` for InsertStage may equal depth() (append).
   ebpf::VerifyResult InsertStage(u32 pos,
                                  std::unique_ptr<NetworkFunction> stage);
   ebpf::VerifyResult RemoveStage(u32 pos);
 
  private:
-  void BurstChunk(ebpf::XdpContext* ctxs, u32 count, ebpf::XdpAction* verdicts);
+  // Everything a whole-chain build commits at once, built aside so a
+  // failure commits nothing: the stage programs, the prog array over them,
+  // the per-stage counters and scopes, and the fused program folded over
+  // exactly those counters (a vector move keeps their addresses).
+  struct ChainBuild {
+    std::vector<std::unique_ptr<ebpf::XdpProgram>> programs;
+    std::unique_ptr<ebpf::ProgArrayMap> prog_array;
+    std::vector<ChainStageStats> stats;
+    std::vector<u16> scopes;
+    std::unique_ptr<FusedChain> fused;
+  };
+
+  // Builds and verifies the chain `view` (the post-edit stage order) into
+  // *out, keeping `stats[i]`'s verdict counters. Touches no chain state.
+  ebpf::VerifyResult BuildChain(const std::vector<NetworkFunction*>& view,
+                                std::vector<ChainStageStats> stats,
+                                ChainBuild* out);
+  // Installs a successful build; the caller edits stages_ around it.
+  void CommitChain(ChainBuild build);
 
   // Builds + verifies one stage program bound to `nf` at slot `i` of a chain
   // of `depth` stages, into *out. Binding the NF pointer at build time (not
@@ -171,42 +168,30 @@ class ChainExecutor : public NetworkFunction {
   // build-aside-then-commit edits verify before mutating anything.
   ebpf::VerifyResult BuildProgramFor(NetworkFunction* nf, u32 i, u32 depth,
                                      std::unique_ptr<ebpf::XdpProgram>* out);
-  // Rebuilds stats_[i] identity + telemetry scope after a stage change.
-  void BindStageMeta(u32 i);
-  void RegisterStageScope(u32 i);
-
-  // Fusion state machine (chain.cc): burst-path promotion bookkeeping,
-  // constant-folding promotion, and reconfiguration demotion.
-  void MaybePromote(u32 pkts);
-  bool PromoteNow();
-  void Demote();
+  // Telemetry scope "<chain>/<i>:<stage>".
+  u16 StageScope(u32 i, const NetworkFunction& nf) const;
+  std::vector<NetworkFunction*> StageView() const;
+  // Constant-folds `view` into the next generation's fused program: stage
+  // pointers, scope ids, stats slots and key-level lowerings resolve once,
+  // here.
+  std::unique_ptr<FusedChain> Fuse(const std::vector<NetworkFunction*>& view,
+                                   const std::vector<u16>& scopes,
+                                   ChainStageStats* stats) const;
+  // Retires the running fused program (if any) for `fused`.
+  void InstallFused(std::unique_ptr<FusedChain> fused);
 
   std::string name_;
   std::vector<std::unique_ptr<NetworkFunction>> stages_;
   std::vector<std::unique_ptr<ebpf::XdpProgram>> programs_;
   std::unique_ptr<ebpf::ProgArrayMap> prog_array_;
   std::vector<ChainStageStats> stats_;
-  // Telemetry scope per stage ("<chain>/<i>:<stage>"), registered at Load();
-  // obs::kInvalidScope when the observability plane is compiled out.
+  // Telemetry scope per stage; obs::kInvalidScope when the observability
+  // plane is compiled out.
   std::vector<u16> stage_scopes_;
   bool loaded_ = false;
 
-  // Fused-path state.
-  bool fusion_armed_ = false;
-  FusionPolicy fusion_policy_;
   FusionStats fusion_stats_;
   std::unique_ptr<FusedChain> fused_;
-  u32 stable_bursts_ = 0;
-  u64 observed_pkts_ = 0;
-  // Control scope ("<chain>/fused") for promote/demote kControl events.
-  u16 fusion_scope_ = obs::kInvalidScope;
-
-  // Generic-walk burst scratch, hoisted out of the per-burst hot path (the
-  // executor is single-threaded per shard, like its stats): the compacted
-  // survivor set, its original-slot map, and the per-stage verdicts.
-  ebpf::XdpContext burst_live_[kMaxNfBurst];
-  u32 burst_slot_of_[kMaxNfBurst];
-  ebpf::XdpAction burst_verdicts_[kMaxNfBurst];
 };
 
 // Builds (and Load()s) a chain whose stages are registry NFs in the given

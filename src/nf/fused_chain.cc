@@ -36,13 +36,7 @@ std::unique_ptr<FusedChain> FusedChain::Fuse(std::vector<FusedStage> stages,
 }
 
 FusedChain::FusedChain(std::vector<FusedStage> stages, u32 generation)
-    : stages_(std::move(stages)), generation_(generation) {
-  for (const FusedStage& stage : stages_) {
-    if (stage.lowered) {
-      ++lowered_;
-    }
-  }
-}
+    : stages_(std::move(stages)), generation_(generation) {}
 
 void FusedChain::ExecuteBurst(ebpf::XdpContext* ctxs, u32 count,
                               ebpf::XdpAction* verdicts) {
@@ -58,9 +52,9 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
   const u32 depth = this->depth();
   ebpf::BeginFusedWalk(depth);
 
-  // The live mask is the whole partition/regroup machinery of the generic
-  // walk collapsed into one word: bit i set = original slot i is still on
-  // the PASS path. Retiring a packet clears its bit and writes its final
+  // The live mask is the whole partition/regroup machinery of a per-stage
+  // burst walk collapsed into one word: bit i set = original slot i is still
+  // on the PASS path. Retiring a packet clears its bit and writes its final
   // verdict in place; survivors never move.
   u64 live = count == kMaxNfBurst ? ~0ull : ((1ull << count) - 1ull);
   u64 keyed = 0;     // lanes whose cached 5-tuple is current
@@ -151,7 +145,7 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
     } else {
       // Non-lowered stage: gather the live contexts in arrival order and run
       // the stage's own burst path — by the batching invariant this is
-      // exactly the compacted survivor burst the generic walk would feed it.
+      // exactly the packet sequence the scalar walk feeds it.
       u32 m = 0;
       u64 mm = live;
       while (mm != 0) {
@@ -164,8 +158,8 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
       st.nf->ProcessBurst(gather_ctxs_, m, gather_verdicts_);
       for (u32 j = 0; j < m; ++j) {
         const u32 i = gather_slot_[j];
-        // Propagate context-field mutations, as the generic walk's live[]
-        // copies carry them stage to stage.
+        // Propagate context-field mutations stage to stage, as the scalar
+        // walk does on its one context.
         work_[i] = gather_ctxs_[j];
         const ebpf::XdpAction action = gather_verdicts_[j];
         stats.Count(action);
@@ -185,8 +179,10 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
     if constexpr (obs::kCompiledIn) {
       // Same scope, same entering count, and flow_of(idx) resolves the
       // idx-th entering packet in arrival order — so the sampler countdown
-      // advances identically to the generic walk and sampled events carry
-      // the same (scope, kind, flow) stream.
+      // advances as on the scalar walk and each scope's sampled events carry
+      // the same flow sequence. (Flows are read after the stage ran, so a
+      // stage that rewrites source addresses reports the rewritten flow; the
+      // scalar walk reads it before.)
       obs::Telemetry::Global().RecordBurst(
           st.scope, stage_ns, in_count, [&](u32 idx) {
             return obs::FlowOf(work_[NthSetBit(entered, idx)]);

@@ -30,7 +30,7 @@ struct ObsReport {
   bool enabled = false;
   u32 sample_every = 0;
   u64 ring_dropped = 0;
-  u64 control_events = 0;  // fusion + reconfiguration transitions emitted
+  u64 control_events = 0;  // reconfiguration transitions emitted
   std::vector<ObsScopeReport> scopes;  // registered scopes with samples > 0
   std::vector<nf::HkTopEntry> top_flows;
 };

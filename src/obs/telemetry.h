@@ -74,7 +74,7 @@ struct ObsEvent {
   u16 kind = kScalar;
   u32 flow = 0;  // flow id (src ip in the packet workloads); 0 = unknown.
                  // For kControl events this carries the transition code
-                 // instead (e.g. chain fusion promote/demote).
+                 // instead (e.g. a reconfiguration swap commit).
   u64 latency_ns = 0;
   u64 seq = 0;  // per-producer-thread sequence number
 };
@@ -148,7 +148,7 @@ class Telemetry {
   void RecordSample(u16 scope, u64 ns, u32 flow);
 
   // Emits a control-plane transition event (kControl) — e.g. a chain
-  // promoting to / demoting from its fused path. Control events are rare by
+  // reconfiguration beginning or committing. Control events are rare by
   // construction, so they bypass the 1/N sampler: every transition is
   // visible in the event stream when telemetry is enabled. `code` rides in
   // the flow field, `value` in latency_ns; neither touches the histograms.
@@ -190,8 +190,8 @@ class Telemetry {
   // The event ring (for wiring up a RingbufConsumer / FlowSampler).
   ebpf::RingbufMap& ring() { return ring_; }
 
-  // Control-plane transitions emitted since start (fusion promote/demote,
-  // reconfiguration begin/commit/rollback). Counted at the emission point,
+  // Control-plane transitions emitted since start (reconfiguration
+  // begin/commit/rollback, insert/remove, shadow drain). Counted at the emission point,
   // so it includes events the ring dropped; the reconfig chaos harness
   // cross-checks its event log against this.
   u64 control_events() const {

@@ -1,15 +1,17 @@
-// Differential suite for the fused (hot-chain specialized) executor: fused
-// bursts must be bit-identical to the generic tail-call walk — verdicts,
-// per-stage counters, and the sampled obs event stream — across depths 1..8,
-// all variants, seeded traffic mixes (resident / non-resident / corrupted
-// frames), burst shapes, and fault-injection-degraded structures. Plus the
-// promotion/demotion state machine: obs-driven promotion thresholds, and
-// demotion-before-next-burst on every reconfiguration.
+// Differential suite for the fused executor, the burst path of every chain:
+// fused bursts must be bit-identical to the scalar tail-call walk — verdicts,
+// frame bytes, per-stage counters, and the sampled obs event stream — across
+// depths 1..8, all variants, seeded traffic mixes (resident / non-resident /
+// corrupted frames), burst shapes, and fault-injection-degraded structures.
+// Plus the build lifecycle: Load() and every committed edit rebuild the fused
+// program before the next burst, and a rejected edit keeps it.
 #include "nf/fused_chain.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,19 +43,11 @@ ebpf::XdpContext ContextFor(pktgen::Packet& packet) {
   return ebpf::XdpContext{packet.frame, packet.frame + ebpf::kFrameSize, 0};
 }
 
-// Builds a deterministic primed chain and, when `fused`, promotes it
-// immediately (TryPromoteNow bypasses the hotness gate but not the budget
-// eligibility check).
-std::unique_ptr<ChainExecutor> MakeChain(const std::vector<std::string>& names,
-                                         Variant v, bool fused) {
-  auto chain = MakeBenchChain(names, v, Env());
-  if (chain != nullptr && fused) {
-    chain->EnableFusion();
-    if (!chain->TryPromoteNow()) {
-      return nullptr;
-    }
-  }
-  return chain;
+// Deterministic primed chain; twins built by separate calls are
+// bit-identical.
+std::unique_ptr<ChainExecutor> MakeChain(
+    const std::vector<std::string>& names, Variant v) {
+  return MakeBenchChain(names, v, Env());
 }
 
 // Seeded op mix: uniform packets over a flow window [first, first + count),
@@ -75,8 +69,8 @@ std::vector<pktgen::Packet> MakeMix(u32 first_flow, u32 flow_count,
   return pkts;
 }
 
-// Per-stage counters without the timing field (fused and generic walks read
-// the clock differently, everything else must match exactly).
+// Per-stage counters without the timing field (only the burst path times
+// stages; everything else must match exactly).
 struct StageCounts {
   u64 in, pass, drop, tx, redirect, aborted;
   bool operator==(const StageCounts& o) const {
@@ -93,59 +87,71 @@ std::vector<StageCounts> Counts(const ChainExecutor& chain) {
   return out;
 }
 
-// Drives `chain` over `pkts` in bursts of `burst`, returning the verdicts.
-// Each call deep-copies the packets so frame state never leaks between the
-// generic and fused runs.
-std::vector<ebpf::XdpAction> RunChain(ChainExecutor& chain,
-                                 const std::vector<pktgen::Packet>& pkts,
-                                 u32 burst) {
-  std::vector<pktgen::Packet> copies = pkts;
-  std::vector<ebpf::XdpAction> verdicts(copies.size());
-  std::vector<ebpf::XdpContext> ctxs(copies.size());
-  for (std::size_t i = 0; i < copies.size(); ++i) {
-    ctxs[i] = ContextFor(copies[i]);
+// What one run left behind: a verdict per packet and the frames as the
+// chain left them. Each run deep-copies the input, so frame state never
+// leaks between the runs of twins.
+struct ChainRun {
+  std::vector<ebpf::XdpAction> verdicts;
+  std::vector<pktgen::Packet> frames;
+};
+
+// Drives `chain` over `pkts` in bursts of `burst` (the fused program).
+ChainRun RunBursts(ChainExecutor& chain, const std::vector<pktgen::Packet>& pkts,
+              u32 burst) {
+  ChainRun run{std::vector<ebpf::XdpAction>(pkts.size()), pkts};
+  std::vector<ebpf::XdpContext> ctxs(pkts.size());
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    ctxs[i] = ContextFor(run.frames[i]);
   }
-  for (std::size_t base = 0; base < copies.size(); base += burst) {
-    const u32 n = static_cast<u32>(
-        std::min<std::size_t>(burst, copies.size() - base));
-    chain.ProcessBurst(ctxs.data() + base, n, verdicts.data() + base);
+  for (std::size_t base = 0; base < pkts.size(); base += burst) {
+    const u32 n =
+        static_cast<u32>(std::min<std::size_t>(burst, pkts.size() - base));
+    chain.ProcessBurst(ctxs.data() + base, n, run.verdicts.data() + base);
   }
-  return verdicts;
+  return run;
 }
 
-// Core differential check: twin chains, one generic, one fused; identical
-// traffic; verdicts and per-stage counters must match bit for bit. Also
-// pins both to the scalar tail-call oracle on a third twin.
-void ExpectFusedMatchesGeneric(const std::vector<std::string>& names,
-                               Variant v,
-                               const std::vector<pktgen::Packet>& pkts,
-                               u32 burst, const std::string& label) {
-  auto generic = MakeChain(names, v, false);
-  auto fused = MakeChain(names, v, true);
-  auto oracle = MakeChain(names, v, false);
-  ASSERT_NE(generic, nullptr) << label;
-  ASSERT_NE(fused, nullptr) << label;
-  ASSERT_NE(oracle, nullptr) << label;
-  ASSERT_TRUE(fused->fused()) << label;
-
-  const std::vector<ebpf::XdpAction> generic_verdicts =
-      RunChain(*generic, pkts, burst);
-  const std::vector<ebpf::XdpAction> fused_verdicts = RunChain(*fused, pkts, burst);
-  ASSERT_TRUE(fused->fused()) << label << " (demoted mid-traffic?)";
-
+// Drives `chain` one packet at a time (the scalar tail-call oracle).
+ChainRun RunScalar(ChainExecutor& chain, const std::vector<pktgen::Packet>& pkts) {
+  ChainRun run{std::vector<ebpf::XdpAction>(pkts.size()), pkts};
   for (std::size_t i = 0; i < pkts.size(); ++i) {
-    ASSERT_EQ(generic_verdicts[i], fused_verdicts[i])
-        << label << " packet " << i;
+    ebpf::XdpContext ctx = ContextFor(run.frames[i]);
+    run.verdicts[i] = chain.Process(ctx);
   }
-  EXPECT_EQ(Counts(*generic), Counts(*fused)) << label;
+  return run;
+}
 
-  // Scalar oracle spot check (every 7th packet keeps the test fast).
-  for (std::size_t i = 0; i < pkts.size(); i += 7) {
-    pktgen::Packet copy = pkts[i];
-    ebpf::XdpContext ctx = ContextFor(copy);
-    ASSERT_EQ(oracle->Process(ctx), fused_verdicts[i])
-        << label << " scalar oracle, packet " << i;
+void ExpectSameRun(const ChainRun& burst, const ChainRun& scalar,
+                   const std::string& label) {
+  ASSERT_EQ(burst.verdicts.size(), scalar.verdicts.size()) << label;
+  for (std::size_t i = 0; i < burst.verdicts.size(); ++i) {
+    ASSERT_EQ(burst.verdicts[i], scalar.verdicts[i])
+        << label << " packet " << i;
+    ASSERT_EQ(std::memcmp(burst.frames[i].frame, scalar.frames[i].frame,
+                          ebpf::kFrameSize),
+              0)
+        << label << " frame " << i;
   }
+}
+
+// Core differential check: twin chains, one driven in bursts (fused), one
+// packet by packet (scalar oracle); identical traffic; verdicts, frames and
+// per-stage counters must match bit for bit, and every burst packet must
+// have run fused.
+void ExpectBurstMatchesScalar(const std::vector<std::string>& names,
+                              Variant v,
+                              const std::vector<pktgen::Packet>& pkts,
+                              u32 burst, const std::string& label) {
+  auto chain = MakeChain(names, v);
+  auto oracle = MakeChain(names, v);
+  ASSERT_NE(chain, nullptr) << label;
+  ASSERT_NE(oracle, nullptr) << label;
+
+  ExpectSameRun(RunBursts(*chain, pkts, burst), RunScalar(*oracle, pkts),
+                label);
+  EXPECT_EQ(Counts(*chain), Counts(*oracle)) << label;
+  EXPECT_EQ(chain->fusion_stats().fused_packets, pkts.size()) << label;
+  EXPECT_EQ(chain->fusion_stats().generic_bursts, 0u) << label;
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ TEST(FusedChainDifferential, MatchesGenericAcrossDepthsVariantsAndMixes) {
         const u32 seed = 1000 * depth + 10 * static_cast<u32>(v) + mix.first;
         const std::vector<pktgen::Packet> pkts =
             MakeMix(mix.first, mix.flows, 256, seed, mix.corrupt);
-        ExpectFusedMatchesGeneric(
+        ExpectBurstMatchesScalar(
             names, v, pkts, 32,
             "depth " + std::to_string(depth) + " " +
                 std::string(VariantName(v)) + " " + mix.name);
@@ -187,14 +193,14 @@ TEST(FusedChainDifferential, BurstShapesIncludingOversized) {
   const std::vector<std::string> names = StageNames(4);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 417, 21, 11);
   for (const u32 burst : {1u, 7u, 32u, kMaxNfBurst, 3 * kMaxNfBurst + 7}) {
-    ExpectFusedMatchesGeneric(names, Variant::kEnetstl, pkts, burst,
-                              "burst " + std::to_string(burst));
+    ExpectBurstMatchesScalar(names, Variant::kEnetstl, pkts, burst,
+                             "burst " + std::to_string(burst));
   }
 }
 
 // A stateful, non-lowered stage (heavykeeper mutates its sketch on every
 // packet) between two lowered membership stages: the fused walk must feed it
-// the exact survivor sequence the generic walk does, and re-parse keys after
+// the exact survivor sequence the scalar walk does, and re-parse keys after
 // it (the stage may touch frames).
 TEST(FusedChainDifferential, MixedChainWithNonLoweredStage) {
   const std::vector<std::string> names = {"cuckoo-filter", "heavykeeper",
@@ -202,11 +208,11 @@ TEST(FusedChainDifferential, MixedChainWithNonLoweredStage) {
   const std::vector<pktgen::Packet> pkts = MakeMix(1500, 2500, 384, 33, 17);
   for (const Variant v : {Variant::kEbpf, Variant::kKernel,
                           Variant::kEnetstl}) {
-    ExpectFusedMatchesGeneric(names, v, pkts, 32,
-                              "mixed " + std::string(VariantName(v)));
+    ExpectBurstMatchesScalar(names, v, pkts, 32,
+                             "mixed " + std::string(VariantName(v)));
   }
   // Sanity: heavykeeper must really be the non-lowered one.
-  auto chain = MakeChain(names, Variant::kEnetstl, true);
+  auto chain = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   EXPECT_FALSE(chain->stage(1).LowerToKeyOp().has_value());
   EXPECT_TRUE(chain->stage(0).LowerToKeyOp().has_value());
@@ -244,20 +250,17 @@ TEST(FusedChainDifferential, DegradedFilterViaFaultInjectionMatches) {
     // have no fault point, this degrades construction only).
     inj.Reset();
     arm.arm(inj);
-    auto generic = MakeChain(names, Variant::kEnetstl, false);
+    auto oracle = MakeChain(names, Variant::kEnetstl);
     inj.Reset();
     arm.arm(inj);
-    auto fused = MakeChain(names, Variant::kEnetstl, true);
+    auto chain = MakeChain(names, Variant::kEnetstl);
     inj.Reset();
-    ASSERT_NE(generic, nullptr);
-    ASSERT_NE(fused, nullptr);
+    ASSERT_NE(oracle, nullptr);
+    ASSERT_NE(chain, nullptr);
 
-    const std::vector<ebpf::XdpAction> gv = RunChain(*generic, pkts, 32);
-    const std::vector<ebpf::XdpAction> fv = RunChain(*fused, pkts, 32);
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      ASSERT_EQ(gv[i], fv[i]) << arm.name << " packet " << i;
-    }
-    EXPECT_EQ(Counts(*generic), Counts(*fused)) << arm.name;
+    ExpectSameRun(RunBursts(*chain, pkts, 32), RunScalar(*oracle, pkts),
+                  arm.name);
+    EXPECT_EQ(Counts(*chain), Counts(*oracle)) << arm.name;
   }
 }
 
@@ -265,33 +268,43 @@ TEST(FusedChainDifferential, DegradedFilterViaFaultInjectionMatches) {
 // Obs event-stream / histogram parity
 // ---------------------------------------------------------------------------
 
-struct SampledEvent {
-  obs::u16 scope;
-  obs::u16 kind;
-  u32 flow;
-};
-
-std::vector<SampledEvent> DrainSampled(obs::Telemetry& telemetry) {
-  std::vector<SampledEvent> events;
+// Flow ids of the sampled packet events, grouped by scope in emission order.
+std::map<obs::u16, std::vector<u32>> DrainSampledFlows(
+    obs::Telemetry& telemetry) {
+  std::map<obs::u16, std::vector<u32>> flows;
   telemetry.ring().Consume([&](const void* data, ebpf::u32 len) {
     if (len != sizeof(obs::ObsEvent)) {
       return;
     }
     obs::ObsEvent event;
     std::memcpy(&event, data, sizeof(event));
-    if (event.kind == obs::ObsEvent::kControl) {
-      return;  // promote/demote markers are fused-path-only by design
+    if (event.kind != obs::ObsEvent::kControl) {
+      flows[event.scope].push_back(event.flow);
     }
-    events.push_back({event.scope, event.kind, event.flow});
   });
-  return events;
+  return flows;
 }
 
-// The fused walk must advance the 1/N sampler identically to the generic
-// walk: same per-stage event counts, same (scope, kind, flow) sequence —
-// only latency values (and hence histogram bucket shapes) may differ, since
-// being faster is the point. Sample-every=1 makes the comparison exact and
-// independent of the thread-local countdown's starting phase.
+std::vector<u64> StageSamples(obs::Telemetry& telemetry,
+                              ChainExecutor& chain) {
+  std::vector<u64> samples;
+  for (u32 s = 0; s < chain.depth(); ++s) {
+    samples.push_back(
+        telemetry
+            .Snapshot(telemetry.RegisterScope(
+                "chain/" + std::to_string(s) + ":" +
+                std::string(chain.stage(s).name())))
+            .samples);
+  }
+  return samples;
+}
+
+// The fused walk must advance the 1/N sampler as the scalar walk does: each
+// stage scope sees the same sample count and the same flow sequence. Only
+// the event kind (burst-average vs individually timed) and the latency
+// values differ, and the scalar walk interleaves scopes per packet where
+// the fused walk emits them stage by stage. Sample-every=1 makes the
+// comparison exact and independent of the thread-local countdown's phase.
 TEST(FusedChainObs, SampledEventStreamMatchesGeneric) {
   if constexpr (!obs::kCompiledIn) {
     GTEST_SKIP() << "observability compiled out";
@@ -300,194 +313,110 @@ TEST(FusedChainObs, SampledEventStreamMatchesGeneric) {
   const std::vector<std::string> names = StageNames(3);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 192, 91, 13);
 
-  auto generic = MakeChain(names, Variant::kEnetstl, false);
-  auto fused = MakeChain(names, Variant::kEnetstl, true);
-  ASSERT_NE(generic, nullptr);
-  ASSERT_NE(fused, nullptr);
-
-  telemetry.Enable(1);
-  (void)DrainSampled(telemetry);  // discard anything older
-
-  telemetry.ResetCounts();
-  (void)RunChain(*generic, pkts, 32);
-  const std::vector<SampledEvent> generic_events = DrainSampled(telemetry);
-  std::vector<u64> generic_samples;
-  for (u32 s = 0; s < generic->depth(); ++s) {
-    // Twin chains share scope ids (same chain/stage names), so snapshots
-    // taken between runs need a reset, not separate scopes.
-    generic_samples.push_back(
-        telemetry
-            .Snapshot(obs::Telemetry::Global().RegisterScope(
-                "chain/" + std::to_string(s) + ":" +
-                std::string(generic->stage(s).name())))
-            .samples);
-  }
-
-  telemetry.ResetCounts();
-  (void)RunChain(*fused, pkts, 32);
-  const std::vector<SampledEvent> fused_events = DrainSampled(telemetry);
-  std::vector<u64> fused_samples;
-  for (u32 s = 0; s < fused->depth(); ++s) {
-    fused_samples.push_back(
-        telemetry
-            .Snapshot(obs::Telemetry::Global().RegisterScope(
-                "chain/" + std::to_string(s) + ":" +
-                std::string(fused->stage(s).name())))
-            .samples);
-  }
-  telemetry.Disable();
-
-  ASSERT_EQ(generic_events.size(), fused_events.size());
-  for (std::size_t i = 0; i < generic_events.size(); ++i) {
-    EXPECT_EQ(generic_events[i].scope, fused_events[i].scope) << i;
-    EXPECT_EQ(generic_events[i].kind, fused_events[i].kind) << i;
-    EXPECT_EQ(generic_events[i].flow, fused_events[i].flow) << i;
-  }
-  EXPECT_EQ(generic_samples, fused_samples);
-}
-
-TEST(FusedChainObs, PromotionAndDemotionEmitControlEvents) {
-  if constexpr (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out";
-  }
-  obs::Telemetry& telemetry = obs::Telemetry::Global();
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto oracle = MakeChain(names, Variant::kEnetstl);
+  auto chain = MakeChain(names, Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
   ASSERT_NE(chain, nullptr);
-  const obs::u16 scope = telemetry.RegisterScope("chain/fused");
 
   telemetry.Enable(1);
-  telemetry.ring().Consume([](const void*, ebpf::u32) {});  // drain
-  chain->EnableFusion();
-  ASSERT_TRUE(chain->TryPromoteNow());
-  chain->DisableFusion();
+  (void)DrainSampledFlows(telemetry);  // discard anything older
+
+  // Twin chains share scope ids (same chain/stage names), so snapshots taken
+  // between runs need a reset, not separate scopes.
+  telemetry.ResetCounts();
+  (void)RunScalar(*oracle, pkts);
+  const auto scalar_flows = DrainSampledFlows(telemetry);
+  const std::vector<u64> scalar_samples = StageSamples(telemetry, *oracle);
+
+  telemetry.ResetCounts();
+  (void)RunBursts(*chain, pkts, 32);
+  const auto fused_flows = DrainSampledFlows(telemetry);
+  const std::vector<u64> fused_samples = StageSamples(telemetry, *chain);
   telemetry.Disable();
 
-  std::vector<obs::ObsEvent> controls;
-  telemetry.ring().Consume([&](const void* data, ebpf::u32 len) {
-    if (len != sizeof(obs::ObsEvent)) {
-      return;
-    }
-    obs::ObsEvent event;
-    std::memcpy(&event, data, sizeof(event));
-    if (event.kind == obs::ObsEvent::kControl && event.scope == scope) {
-      controls.push_back(event);
-    }
-  });
-  ASSERT_EQ(controls.size(), 2u);
-  EXPECT_EQ(controls[0].flow, kFusionPromoteCode);
-  EXPECT_EQ(controls[1].flow, kFusionDemoteCode);
+  ASSERT_EQ(scalar_flows.size(), names.size());
+  EXPECT_EQ(scalar_flows, fused_flows);
+  EXPECT_EQ(scalar_samples, fused_samples);
+  EXPECT_EQ(scalar_samples[0], pkts.size());
 }
 
 // ---------------------------------------------------------------------------
-// Promotion / demotion state machine
+// Build lifecycle: Load and committed edits rebuild the fused program
 // ---------------------------------------------------------------------------
 
-TEST(FusedChainStateMachine, PromotionIsObsDrivenByHotStableTraffic) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
-  ASSERT_NE(chain, nullptr);
-  FusionPolicy policy;
-  policy.hot_bursts = 4;
-  policy.min_packets = 4 * 32;
-  chain->EnableFusion(policy);
-  EXPECT_FALSE(chain->fused());
-
-  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 7);
-  // Three bursts: hot_bursts not reached yet.
-  for (int i = 0; i < 3; ++i) {
-    (void)RunChain(*chain, pkts, 32);
-    EXPECT_FALSE(chain->fused()) << "burst " << i;
-  }
-  // The 4th burst satisfies both thresholds; the 5th runs fused.
-  (void)RunChain(*chain, pkts, 32);
-  EXPECT_TRUE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().promotions, 1u);
-  const u64 generic_bursts = chain->fusion_stats().generic_bursts;
-  (void)RunChain(*chain, pkts, 32);
-  EXPECT_EQ(chain->fusion_stats().generic_bursts, generic_bursts);
-  EXPECT_GT(chain->fusion_stats().fused_bursts, 0u);
-}
-
-TEST(FusedChainStateMachine, PromotionNeverFiresWithoutArming) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
-  ASSERT_NE(chain, nullptr);
-  EXPECT_FALSE(chain->TryPromoteNow());
-  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 9);
-  for (int i = 0; i < 64; ++i) {
-    (void)RunChain(*chain, pkts, 32);
-  }
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().promotions, 0u);
-}
-
-// The acceptance-critical property: reconfiguring a fused chain mid-traffic
-// demotes it before the next burst, and the post-reconfig traffic takes the
-// generic walk with the new stage in place.
+// Reconfiguring a chain mid-traffic rebuilds its fused program before the
+// next burst, and that burst runs the new stage set.
 TEST(FusedChainStateMachine, ReplaceStageDemotesBeforeNextBurst) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
-  const u32 gen_before = chain->fusion_stats().generation;
+  const FusionStats before = chain->fusion_stats();
+  EXPECT_EQ(before.promotions, 1u) << "Load() builds the fused program";
 
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 11);
-  (void)RunChain(*chain, pkts, 32);
-  ASSERT_TRUE(chain->fused());
+  (void)RunBursts(*chain, pkts, 32);
 
   // Swap stage 1 for an unprimed vbf (empty table: everything drops there).
-  auto replacement =
-      NfRegistry::Global().Create("vbf-membership", Variant::kEnetstl);
-  ASSERT_NE(replacement, nullptr);
-  ASSERT_TRUE(chain->ReplaceStage(1, std::move(replacement)).ok);
+  ASSERT_TRUE(chain
+                  ->ReplaceStage(1, NfRegistry::Global().Create(
+                                        "vbf-membership", Variant::kEnetstl))
+                  .ok);
+  EXPECT_EQ(chain->fusion_stats().generation, before.generation + 1);
+  EXPECT_EQ(chain->fusion_stats().promotions, before.promotions + 1);
+  EXPECT_EQ(chain->fusion_stats().demotions, before.demotions + 1);
 
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
-  EXPECT_GT(chain->fusion_stats().generation, gen_before);
-
-  // Next burst runs generic — and reflects the new (empty) stage.
-  const u64 generic_bursts = chain->fusion_stats().generic_bursts;
-  const std::vector<ebpf::XdpAction> verdicts = RunChain(*chain, pkts, 32);
-  EXPECT_GT(chain->fusion_stats().generic_bursts, generic_bursts);
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    EXPECT_NE(verdicts[i], ebpf::XdpAction::kPass) << i;
+  // The next burst runs the rebuilt program: it drops everything that
+  // reaches the new stage, counts into the new stage's fresh slot, and
+  // matches a freshly built oracle of the post-edit shape.
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  ASSERT_TRUE(oracle
+                  ->ReplaceStage(1, NfRegistry::Global().Create(
+                                        "vbf-membership", Variant::kEnetstl))
+                  .ok);
+  const ChainRun run = RunBursts(*chain, pkts, 32);
+  ExpectSameRun(run, RunScalar(*oracle, pkts), "post-replace");
+  for (std::size_t i = 0; i < run.verdicts.size(); ++i) {
+    EXPECT_NE(run.verdicts[i], ebpf::XdpAction::kPass) << i;
   }
-
-  // Re-promotion needs the hotness thresholds all over again...
-  EXPECT_FALSE(chain->fused());
-  // ...but stays available: force it and check the fused walk agrees with a
-  // freshly built oracle of the same post-reconfig shape.
-  ASSERT_TRUE(chain->TryPromoteNow());
-  ASSERT_TRUE(chain->fused());
-  const std::vector<ebpf::XdpAction> fused_verdicts = RunChain(*chain, pkts, 32);
-  for (std::size_t i = 0; i < fused_verdicts.size(); ++i) {
-    EXPECT_EQ(fused_verdicts[i], verdicts[i]) << i;
-  }
+  EXPECT_EQ(Counts(*chain)[1], Counts(*oracle)[1]);
+  EXPECT_GT(chain->stage_stats()[1].in, 0u);
+  EXPECT_EQ(chain->stage_stats()[1].drop, chain->stage_stats()[1].in);
 }
 
-TEST(FusedChainStateMachine, ReloadAndDisableDemote) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+// Reloading is a whole-chain rebuild: a new fused program and generation,
+// and the chain keeps matching the scalar oracle.
+TEST(FusedChainStateMachine, ReloadRebuildsTheFusedProgram) {
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
+  ASSERT_NE(oracle, nullptr);
+  const FusionStats before = chain->fusion_stats();
   ASSERT_TRUE(chain->Load().ok);
-  EXPECT_FALSE(chain->fused()) << "Load() is a reconfiguration";
+  EXPECT_GT(chain->fusion_stats().generation, before.generation)
+      << "Load() is a reconfiguration";
+  EXPECT_EQ(chain->fusion_stats().promotions, before.promotions + 1);
+  EXPECT_EQ(chain->fusion_stats().demotions, before.demotions + 1);
 
-  ASSERT_TRUE(chain->TryPromoteNow());
-  chain->DisableFusion();
-  EXPECT_FALSE(chain->fused());
-  EXPECT_FALSE(chain->TryPromoteNow()) << "disarmed";
-  EXPECT_EQ(chain->fusion_stats().demotions, 2u);
+  const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 128, 17, 13);
+  ExpectSameRun(RunBursts(*chain, pkts, 32), RunScalar(*oracle, pkts),
+                "reloaded");
+  EXPECT_EQ(Counts(*chain), Counts(*oracle));
 }
 
 TEST(FusedChainStateMachine, FailedReplacementRollsBackAndStaysRunnable) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
-  // Null replacement: rejected up front, but still a demotion-triggering
-  // reconfiguration attempt is NOT made (argument never checked out).
+  const FusionStats before = chain->fusion_stats();
+  // Rejected up front: nothing is built, so the fused program and its
+  // generation stay as they were.
   EXPECT_FALSE(chain->ReplaceStage(1, nullptr).ok);
   EXPECT_FALSE(chain->ReplaceStage(99, nullptr).ok);
-  // The chain is still runnable on the generic or fused path.
+  EXPECT_EQ(chain->fusion_stats().generation, before.generation);
+  EXPECT_EQ(chain->fusion_stats().promotions, before.promotions);
+  EXPECT_EQ(chain->fusion_stats().demotions, before.demotions);
+  // The chain is still runnable.
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 13);
-  const std::vector<ebpf::XdpAction> verdicts = RunChain(*chain, pkts, 32);
-  EXPECT_EQ(verdicts.size(), pkts.size());
+  EXPECT_EQ(RunBursts(*chain, pkts, 32).verdicts.size(), pkts.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -509,14 +438,14 @@ TEST(FusedChainBudget, DepthAtTailCallLimitFusesAndRuns) {
     chain.AddStage(std::make_unique<PassNf>());
   }
   ASSERT_TRUE(chain.Load().ok);
-  chain.EnableFusion();
-  ASSERT_TRUE(chain.TryPromoteNow());
+  EXPECT_EQ(chain.fusion_stats().promotions, 1u);
   pktgen::Packet pkt = Env().uniform[0];
   ebpf::XdpContext ctx = ContextFor(pkt);
   ebpf::XdpAction verdict;
   chain.ProcessBurst(&ctx, 1, &verdict);
   EXPECT_EQ(verdict, ebpf::XdpAction::kPass);
   EXPECT_EQ(chain.stage_stats().back().pass, 1u);
+  EXPECT_EQ(chain.fusion_stats().fused_packets, 1u);
 }
 
 TEST(FusedChainBudget, EligibilityTracksTailCallBudget) {

@@ -1,8 +1,9 @@
 // Tests for the live-reconfiguration control plane (nf/reconfig.h): NF hot
 // swap through the registry (typed error taxonomy, state transfer,
-// dual-write shadow warm-up), structural chain edits at quiescent points,
-// rollback bit-identity under injected commit/state-transfer faults (fused
-// program untouched, generation unchanged), connection affinity across a
+// dual-write shadow warm-up), structural chain edits at quiescent points
+// (each rebuilds the fused program the next burst runs), rollback
+// bit-identity under injected commit/state-transfer faults (fused program
+// untouched, generation unchanged), connection affinity across a
 // Katran backend-set swap, obs control events, and the epoch-guard
 // serialization of a datapath thread against a control thread (TSan's
 // target).
@@ -50,15 +51,8 @@ ebpf::XdpContext ContextFor(pktgen::Packet& packet) {
 }
 
 std::unique_ptr<ChainExecutor> MakeChain(const std::vector<std::string>& names,
-                                         Variant v, bool fused) {
-  auto chain = MakeBenchChain(names, v, Env());
-  if (chain != nullptr && fused) {
-    chain->EnableFusion();
-    if (!chain->TryPromoteNow()) {
-      return nullptr;
-    }
-  }
-  return chain;
+                                         Variant v) {
+  return MakeBenchChain(names, v, Env());
 }
 
 // Bit-identical primed twin of a bench-chain stage: MakeBenchChain builds
@@ -117,6 +111,18 @@ std::vector<ebpf::XdpAction> RunChain(ChainExecutor& chain,
   return verdicts;
 }
 
+// The scalar tail-call oracle, one packet at a time.
+std::vector<ebpf::XdpAction> RunScalar(ChainExecutor& chain,
+                                       const std::vector<pktgen::Packet>& pkts) {
+  std::vector<pktgen::Packet> copies = pkts;
+  std::vector<ebpf::XdpAction> verdicts(copies.size());
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    ebpf::XdpContext ctx = ContextFor(copies[i]);
+    verdicts[i] = chain.Process(ctx);
+  }
+  return verdicts;
+}
+
 // Fault-point tests share the global injector; always start and end clean.
 class Reconfig : public ::testing::Test {
  protected:
@@ -129,7 +135,7 @@ class Reconfig : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(Reconfig, SwapNfSurfacesRegistryErrorsWithBenchWording) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -185,8 +191,8 @@ TEST_F(Reconfig, ErrorNamesCoverTheTaxonomy) {
 // the chaos harness, pinned here in isolation.
 TEST_F(Reconfig, TwinSwapIsVerdictInvisible) {
   const std::vector<std::string> names = StageNames(3);
-  auto chain = MakeChain(names, Variant::kEnetstl, false);
-  auto oracle = MakeChain(names, Variant::kEnetstl, false);
+  auto chain = MakeChain(names, Variant::kEnetstl);
+  auto oracle = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(oracle, nullptr);
   ChainReconfig plane(*chain);
@@ -211,7 +217,7 @@ TEST_F(Reconfig, TwinSwapIsVerdictInvisible) {
 }
 
 TEST_F(Reconfig, ShadowWarmupCommitsAtTheBurstBoundary) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 23);
@@ -415,12 +421,13 @@ TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
                             "helper.prog_array_update"}) {
     enetstl::FaultInjector::Global().Reset();
     const std::vector<std::string> names = StageNames(3);
-    auto chain = MakeChain(names, Variant::kEnetstl, true);
-    auto oracle = MakeChain(names, Variant::kEnetstl, true);
+    auto chain = MakeChain(names, Variant::kEnetstl);
+    auto oracle = MakeChain(names, Variant::kEnetstl);
     ASSERT_NE(chain, nullptr) << point;
     ASSERT_NE(oracle, nullptr) << point;
     ChainReconfig plane(*chain);
     const u32 gen_before = chain->fusion_stats().generation;
+    const u64 builds_before = chain->fusion_stats().promotions;
 
     enetstl::FaultInjector::Global().ArmOneShot(point, 0);
     SwapOptions now;
@@ -431,9 +438,9 @@ TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
     EXPECT_EQ(plane.stats().swaps_rolled_back, 1u) << point;
     EXPECT_EQ(plane.stats().epoch, 0u) << point;
 
-    // Bit-identity: still fused, same generation, and the next bursts match
-    // an untouched fused twin verdict for verdict.
-    EXPECT_TRUE(chain->fused()) << point;
+    // Bit-identity: the same fused program (none built), same generation,
+    // and the next bursts match an untouched twin verdict for verdict.
+    EXPECT_EQ(chain->fusion_stats().promotions, builds_before) << point;
     EXPECT_EQ(chain->fusion_stats().generation, gen_before) << point;
     EXPECT_EQ(chain->fusion_stats().demotions, 0u) << point;
     const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 192, 29);
@@ -445,7 +452,7 @@ TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
 // A staged (shadow warm-up) swap whose deferred commit faults is abandoned
 // at the boundary: the chain keeps running the old stage, typed stats only.
 TEST_F(Reconfig, ShadowCommitFaultAbandonsTheStagedSwap) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   NetworkFunction* const original = &chain->stage(0);
@@ -473,8 +480,8 @@ TEST_F(Reconfig, ShadowCommitFaultAbandonsTheStagedSwap) {
 
 TEST_F(Reconfig, TapInsertAndRemoveAreVerdictTransparent) {
   const std::vector<std::string> names = StageNames(3);
-  auto chain = MakeChain(names, Variant::kEnetstl, false);
-  auto oracle = MakeChain(names, Variant::kEnetstl, false);
+  auto chain = MakeChain(names, Variant::kEnetstl);
+  auto oracle = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(oracle, nullptr);
   ChainReconfig plane(*chain);
@@ -501,22 +508,34 @@ TEST_F(Reconfig, TapInsertAndRemoveAreVerdictTransparent) {
   EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32));
 }
 
+// A committed edit rebuilds the fused program, and the next burst runs it:
+// the inserted tap counts exactly the packets the rebuilt program routes
+// through its slot, and verdicts match a fresh oracle of the edited shape.
 TEST_F(Reconfig, EditsDemoteAFusedChain) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
-  ASSERT_TRUE(chain->fused());
-  ASSERT_TRUE(plane.InsertStage(2, std::make_unique<PassthroughTap>()).ok());
-  EXPECT_FALSE(chain->fused()) << "structural edit demotes";
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
-  // Re-promotion folds the edited shape and stays runnable.
-  ASSERT_TRUE(chain->TryPromoteNow());
+  const FusionStats before = chain->fusion_stats();
+  auto tap = std::make_unique<PassthroughTap>();
+  PassthroughTap* const tap_ptr = tap.get();
+  ASSERT_TRUE(plane.InsertStage(2, std::move(tap)).ok());
+  EXPECT_EQ(chain->fusion_stats().generation, before.generation + 1);
+  EXPECT_EQ(chain->fusion_stats().promotions, before.promotions + 1);
+  EXPECT_EQ(chain->fusion_stats().demotions, before.demotions + 1);
+
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  ASSERT_TRUE(oracle->InsertStage(2, std::make_unique<PassthroughTap>()).ok);
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 41);
-  EXPECT_EQ(RunPlane(plane, pkts, 32).size(), pkts.size());
+  EXPECT_EQ(RunPlane(plane, pkts, 32), RunScalar(*oracle, pkts));
+  EXPECT_EQ(chain->fusion_stats().fused_packets, pkts.size());
+  EXPECT_GT(tap_ptr->packets(), 0u);
+  EXPECT_EQ(tap_ptr->packets(), chain->stage_stats()[1].pass);
+  EXPECT_EQ(chain->stage_stats()[2].in, tap_ptr->packets());
 }
 
 TEST_F(Reconfig, EditValidationIsTypedAndCommitsNothing) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -557,7 +576,7 @@ TEST_F(Reconfig, ControlOperationsEmitTypedObsEvents) {
     GTEST_SKIP() << "observability compiled out";
   }
   obs::Telemetry& telemetry = obs::Telemetry::Global();
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   const obs::u16 scope = telemetry.RegisterScope("chain/reconfig");
@@ -610,12 +629,12 @@ TEST_F(Reconfig, ControlOperationsEmitTypedObsEvents) {
 // them at burst boundaries: every burst's verdict buffer is fully written
 // (no sentinel survives — zero loss), every control op lands or fails typed,
 // and the executor never tears. TSan sees any mutation that escapes the
-// guard; the fused demote-generation handshake is exercised by re-arming
-// fusion after each swap.
+// guard, including the fused-program rebuild every committed swap and edit
+// performs.
 TEST_F(Reconfig, DatapathAndControlThreadsSerializeAtBurstBoundaries) {
   constexpr u32 kBurstSize = 32;
   constexpr u32 kControlRounds = 8;
-  auto chain = MakeChain(StageNames(3), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(3), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -669,29 +688,28 @@ TEST_F(Reconfig, DatapathAndControlThreadsSerializeAtBurstBoundaries) {
   const ReconfigStats stats = plane.stats();
   EXPECT_GT(stats.swaps_committed + stats.swaps_rolled_back, 0u);
   // And the chain is still coherent: one more quiet differential run.
-  auto oracle = MakeChain(StageNames(3), Variant::kEnetstl, false);
+  auto oracle = MakeChain(StageNames(3), Variant::kEnetstl);
   ASSERT_NE(oracle, nullptr);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 2048, 128, 47);
   EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32));
 }
 
-// Regression for the fused-snapshot fix: a demotion between chunks of one
-// oversized burst is honored at the next chunk boundary, never mid-walk. A
-// single ProcessBurst call larger than kMaxNfBurst runs chunk by chunk on
-// the program it started on; the subsequent ReplaceStage demotes exactly
-// once and the next oversized burst runs fully generic.
+// An oversized burst (more than one kMaxNfBurst chunk) runs to completion on
+// the program it started on; a swap committed after it rebuilds the fused
+// program exactly once, and the next oversized burst runs the rebuilt one
+// chunk by chunk — counting into the replacement's fresh stats slot — with
+// verdicts matching a fresh scalar oracle.
 TEST_F(Reconfig, OversizedBurstRunsToCompletionAcrossDemotion) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
-  const std::vector<pktgen::Packet> pkts =
-      MakeMix(0, 2048, 3 * kMaxNfBurst + 7, 53);
+  const u32 kOversized = 3 * kMaxNfBurst + 7;
+  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, kOversized, 53);
 
-  const std::vector<ebpf::XdpAction> fused_verdicts =
-      RunPlane(plane, pkts, 3 * kMaxNfBurst + 7);
-  ASSERT_TRUE(chain->fused());
-  const u64 fused_bursts = chain->fusion_stats().fused_bursts;
-  ASSERT_GT(fused_bursts, 0u);
+  const std::vector<ebpf::XdpAction> before_swap =
+      RunPlane(plane, pkts, kOversized);
+  const FusionStats before = chain->fusion_stats();
+  ASSERT_EQ(before.fused_packets, kOversized);
 
   SwapOptions now;
   now.warmup_bursts = 0;
@@ -700,15 +718,21 @@ TEST_F(Reconfig, OversizedBurstRunsToCompletionAcrossDemotion) {
                               MakeTwin("cuckoo-filter", Variant::kEnetstl),
                               now)
                   .ok());
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
+  EXPECT_EQ(chain->fusion_stats().generation, before.generation + 1);
+  EXPECT_EQ(chain->fusion_stats().promotions, before.promotions + 1);
+  EXPECT_EQ(chain->fusion_stats().demotions, before.demotions + 1);
+  EXPECT_EQ(chain->stage_stats()[0].in, 0u) << "the swap resets its slot";
 
-  const std::vector<ebpf::XdpAction> generic_verdicts =
-      RunPlane(plane, pkts, 3 * kMaxNfBurst + 7);
-  EXPECT_EQ(chain->fusion_stats().fused_bursts, fused_bursts)
-      << "post-demotion chunks must not touch the dead fused program";
-  EXPECT_EQ(generic_verdicts, fused_verdicts)
-      << "twin swap + demotion must not change verdicts";
+  const std::vector<ebpf::XdpAction> after_swap =
+      RunPlane(plane, pkts, kOversized);
+  EXPECT_EQ(chain->fusion_stats().fused_packets, 2 * kOversized);
+  EXPECT_EQ(chain->stage_stats()[0].in, kOversized)
+      << "every chunk ran the rebuilt program";
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  EXPECT_EQ(after_swap, RunScalar(*oracle, pkts))
+      << "twin swap + rebuild must not change verdicts";
+  EXPECT_EQ(before_swap, after_swap);
 }
 
 }  // namespace
