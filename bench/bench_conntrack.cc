@@ -3,9 +3,9 @@
 //
 // Part 1 — flow setup/teardown rate: an alternating create / RST-teardown
 // cycle over an all-TCP flow set. Every packet is one table mutation (paired
-// two-direction insert + timer arm, or paired unlink + timer cancel); the
-// virtual clock advances one wheel slot per burst so the eNetSTL engine also
-// pays its steady aging sweep (tombstone reclamation included).
+// two-direction insert + class-list push, or paired unlink); the virtual
+// clock advances one sweep step per burst so the eNetSTL engine also pays
+// its steady aging sweep.
 //
 // Part 2 — steady-state lookup: a resident established table probed by a
 // Zipf trace with no flag traffic, so every packet is a hit + refresh. This
@@ -89,8 +89,8 @@ double MeasureSetupTeardown(nf::Variant v, const pktgen::Trace& trace,
     auto handler = [&](ebpf::XdpContext* ctxs, u32 count,
                        ebpf::XdpAction* verdicts) {
       nf_engine->ProcessBurst(ctxs, count, verdicts);
-      // One wheel slot per burst: the eNetSTL engine's aging sweep (and the
-      // cancelled-timer tombstone reclaim) is part of its steady cost.
+      // One sweep step per burst: the eNetSTL engine's aging sweep is part
+      // of its steady cost.
       now += 1ull << 20;
       nf_engine->AdvanceTo(now);
     };

@@ -1,5 +1,6 @@
 #include "nf/conntrack.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "core/fault_injector.h"
@@ -28,6 +29,7 @@ enetstl::SlabArena::Options ArenaOptionsFor(const FlowTableConfig& config) {
   enetstl::SlabArena::Options options;
   const u32 slot_size = 128;
   static_assert(sizeof(FlowEntry) <= 128);
+  static_assert(offsetof(FlowEntry, state) < 64);
   options.max_slot_bytes = slot_size;
   options.target_slab_bytes = enetstl::SlabArena::kSlotsPerSlab * slot_size;
   const u32 per_slab = enetstl::SlabArena::kSlotsPerSlab;
@@ -71,13 +73,14 @@ FlowTable::FlowTable(const FlowTableConfig& config)
                                                            : config_.max_flows * 2);
   bucket_mask_ = bucket_count - 1;
   buckets_.assign(bucket_count, kNullRef);
-  TimeWheelConfig wheel_config;
-  wheel_config.granularity_ns = config_.wheel_granularity_ns;
-  // Headroom for tombstones: a cancelled timer occupies its bucket until the
-  // next walk sweeps it, so under create/teardown churn the wheel can briefly
-  // hold more elements than live flows.
-  wheel_config.capacity = config_.max_flows * 2;
-  wheel_ = std::make_unique<TimeWheelEnetstl>(wheel_config);
+  for (u32 c = 0; c < kFlowClasses; ++c) {
+    timeout_ns_[c] = CtTimeoutFor(config_, static_cast<FlowState>(c));
+    lru_head_[c] = kNullRef;
+    lru_tail_[c] = kNullRef;
+  }
+  if (config_.wheel_granularity_ns == 0) {
+    config_.wheel_granularity_ns = 1;
+  }
 }
 
 ebpf::FiveTuple FlowTable::ReverseTuple(const ebpf::FiveTuple& t) {
@@ -194,57 +197,33 @@ void FlowTable::UnlinkIndex(u32 handle, FlowEntry* entry, u8 dir) {
   }
 }
 
-void FlowTable::LruPushFront(u32 handle, FlowEntry* entry) {
+// The class index is passed in (not re-read from the entry): every Deref is
+// an out-of-line call, after which the entry would have to be reloaded.
+void FlowTable::LruPushFront(u32 handle, FlowEntry* entry, u32 cls) {
+  const u32 head = lru_head_[cls];
   entry->lru_prev = kNullRef;
-  entry->lru_next = lru_head_;
-  if (lru_head_ != kNullRef) {
-    static_cast<FlowEntry*>(arena_.Deref(lru_head_))->lru_prev = handle;
+  entry->lru_next = head;
+  if (head != kNullRef) {
+    static_cast<FlowEntry*>(arena_.Deref(head))->lru_prev = handle;
+  } else {
+    lru_tail_[cls] = handle;
   }
-  lru_head_ = handle;
-  if (lru_tail_ == kNullRef) {
-    lru_tail_ = handle;
-  }
+  lru_head_[cls] = handle;
 }
 
-void FlowTable::LruUnlink(u32 handle, FlowEntry* entry) {
+void FlowTable::LruUnlink(FlowEntry* entry, u32 cls) {
   const u32 p = entry->lru_prev;
   const u32 n = entry->lru_next;
   if (p != kNullRef) {
     static_cast<FlowEntry*>(arena_.Deref(p))->lru_next = n;
   } else {
-    lru_head_ = n;
+    lru_head_[cls] = n;
   }
   if (n != kNullRef) {
     static_cast<FlowEntry*>(arena_.Deref(n))->lru_prev = p;
   } else {
-    lru_tail_ = p;
+    lru_tail_[cls] = p;
   }
-}
-
-void FlowTable::LruTouch(u32 handle, FlowEntry* entry) {
-  if (lru_head_ == handle) {
-    return;
-  }
-  LruUnlink(handle, entry);
-  LruPushFront(handle, entry);
-}
-
-void FlowTable::ArmTimer(FlowEntry* entry, u32 handle, u64 now_ns) {
-  TwElem elem;
-  // Expiries beyond the wheel's horizon park at the horizon edge; delivery
-  // finds the flow still fresh and re-files it (one bounded re-arm per
-  // revolution — the hierarchical-timer idiom).
-  const u64 cap =
-      now_ns + wheel_->horizon_ns() - 2 * config_.wheel_granularity_ns;
-  elem.expires = entry->expires_ns < cap ? entry->expires_ns : cap;
-  elem.flow = handle;
-  const u64 t = wheel_->EnqueueCancellable(elem);
-  if (t == TimeWheelBase::kInvalidTimer) {
-    ++stats_.timer_overflows;  // lazy expiry still bounds the flow's life
-    entry->timer = kNoTimer;
-    return;
-  }
-  entry->timer = t;
 }
 
 FlowEntry* FlowTable::Insert(const ebpf::FiveTuple& fwd,
@@ -256,14 +235,13 @@ FlowEntry* FlowTable::Insert(const ebpf::FiveTuple& fwd,
     a = arena_.Allocate(kFlowShapeKey, sizeof(FlowEntry));
   }
   if (a.ptr == nullptr) {
-    // -ENOSPC degradation: reclaim the least-recently-used flow and retry —
-    // the BPF LRU-map eviction semantics, but pair-consistent (both
-    // directions of the victim leave together).
-    if (!EvictLruOldest()) {
+    // -ENOSPC degradation: reclaim one flow and retry — the BPF LRU-map
+    // eviction semantics, but pair-consistent (both directions of the victim
+    // leave together).
+    if (!Reclaim(now_ns)) {
       ++stats_.insert_failures;
       return nullptr;
     }
-    ++stats_.lru_evictions;
     a = arena_.Allocate(kFlowShapeKey, sizeof(FlowEntry));
     if (a.ptr == nullptr) {
       ++stats_.insert_failures;
@@ -277,10 +255,7 @@ FlowEntry* FlowTable::Insert(const ebpf::FiveTuple& fwd,
   e->key[1] = rev;
   e->next[0] = kNullRef;
   e->next[1] = kNullRef;
-  e->lru_prev = kNullRef;
-  e->lru_next = kNullRef;
-  e->expires_ns = now_ns + CtTimeoutFor(config_, state);
-  e->timer = kNoTimer;
+  e->expires_ns = now_ns + timeout_ns_[static_cast<u32>(state)];
   e->value = value;
   e->nat_ip = nat_ip;
   e->nat_port = nat_port;
@@ -290,8 +265,7 @@ FlowEntry* FlowTable::Insert(const ebpf::FiveTuple& fwd,
   // entry is complete — no observer can see one tuple without the other.
   LinkIndex(a.handle, e, 0);
   LinkIndex(a.handle, e, 1);
-  LruPushFront(a.handle, e);
-  ArmTimer(e, a.handle, now_ns);
+  LruPushFront(a.handle, e, static_cast<u32>(state));
   if (leak_ != nullptr) {
     leak_->OnAcquire(e, "conntrack.flow");
   }
@@ -304,11 +278,7 @@ FlowEntry* FlowTable::Insert(const ebpf::FiveTuple& fwd,
 void FlowTable::Release(FlowEntry* entry, u32 handle) {
   UnlinkIndex(handle, entry, 0);
   UnlinkIndex(handle, entry, 1);
-  LruUnlink(handle, entry);
-  if (entry->timer != kNoTimer) {
-    wheel_->Cancel(entry->timer);
-    entry->timer = kNoTimer;
-  }
+  LruUnlink(entry, static_cast<u32>(entry->state));
   if (leak_ != nullptr) {
     leak_->OnRelease(entry, "conntrack.flow");
   }
@@ -331,75 +301,71 @@ void FlowTable::EraseEntry(FlowEntry* entry, u32 handle) {
   Release(entry, handle);
 }
 
-bool FlowTable::EvictLruOldest() {
-  if (lru_tail_ == kNullRef) {
+bool FlowTable::Reclaim(u64 now_ns) {
+  // Each class tail is its class's earliest expiry: if any flow is due, some
+  // tail is. Due tails go first, so a table that the sweep keeps clean and a
+  // lazy-only twin of it evict the same live flows.
+  FlowEntry* victim = nullptr;
+  u32 victim_handle = kNullRef;
+  bool victim_due = false;
+  for (u32 c = 0; c < kFlowClasses; ++c) {
+    const u32 h = lru_tail_[c];
+    if (h == kNullRef) {
+      continue;
+    }
+    auto* e = static_cast<FlowEntry*>(arena_.Deref(h));
+    const bool due = e->expires_ns <= now_ns;
+    if (victim == nullptr || due > victim_due ||
+        (due == victim_due && TouchedBefore(*e, *victim))) {
+      victim = e;
+      victim_handle = h;
+      victim_due = due;
+    }
+  }
+  if (victim == nullptr) {
     return false;
   }
-  const u32 victim = lru_tail_;
-  Release(static_cast<FlowEntry*>(arena_.Deref(victim)), victim);
+  ++(victim_due ? stats_.timeout_evictions : stats_.lru_evictions);
+  Release(victim, victim_handle);
   return true;
 }
 
 void FlowTable::Refresh(FlowEntry* entry, u32 handle, u64 now_ns) {
-  entry->expires_ns = now_ns + CtTimeoutFor(config_, entry->state);
-  LruTouch(handle, entry);
+  const u32 cls = static_cast<u32>(entry->state);
+  entry->expires_ns = now_ns + timeout_ns_[cls];
+  if (lru_head_[cls] != handle) {
+    LruUnlink(entry, cls);
+    LruPushFront(handle, entry, cls);
+  }
 }
 
 void FlowTable::SetState(FlowEntry* entry, u32 handle, FlowState state,
                          u64 now_ns) {
-  const u64 old_expires = entry->expires_ns;
+  LruUnlink(entry, static_cast<u32>(entry->state));
   entry->state = state;
-  Refresh(entry, handle, now_ns);
-  if (entry->expires_ns < old_expires && entry->timer != kNoTimer) {
-    // The timeout class shrank (e.g. ESTABLISHED -> FIN_WAIT): the filed
-    // timer may park past the new expiry, which would leave the flow to
-    // lazy expiry only and strand it from the sweep. Re-file at the new
-    // horizon; the old timer tombstones in place (O(1) Cancel).
-    wheel_->Cancel(entry->timer);
-    ArmTimer(entry, handle, now_ns);
-  }
-}
-
-u32 FlowTable::OnTimerDelivery(u32 handle) {
-  auto* e = static_cast<FlowEntry*>(arena_.Deref(handle));
-  if (e == nullptr) {
-    return 0;  // defensive: a freed flow's timer is always cancelled
-  }
-  e->timer = kNoTimer;
-  if (e->expires_ns > wheel_->clock_ns()) {
-    // The flow was refreshed (or its expiry sat beyond the horizon) since
-    // this timer was filed: re-arm instead of evicting.
-    ++stats_.timer_rearms;
-    ArmTimer(e, handle, wheel_->clock_ns());
-    return 0;
-  }
-  ++stats_.timeout_evictions;
-  Release(e, handle);
-  return 1;
+  const u32 cls = static_cast<u32>(state);
+  entry->expires_ns = now_ns + timeout_ns_[cls];
+  LruPushFront(handle, entry, cls);
 }
 
 u32 FlowTable::Advance(u64 until_ns) {
+  const u64 step = config_.wheel_granularity_ns;
+  if (until_ns - until_ns % step > clock_ns_) {
+    clock_ns_ = until_ns - until_ns % step;
+  }
   u32 evicted = 0;
-  // Frontier walk: batched AdvanceOneSlot per slot, then DrainCurrentSlot
-  // until the slot is empty — a mass-expiry slot can hold more than one
-  // batch, and stranding the tail would park it a full wheel revolution out.
-  // Deliveries may re-arm refreshed flows, but a re-filed timer never lands
-  // back in the slot being drained (BucketFor parks due-now elements at the
-  // next slot), so the inner loop terminates.
-  TwElem due[4 * kMaxNfBurst];
-  constexpr u32 kDueMax = 4 * kMaxNfBurst;
-  while (wheel_->clock_ns() + config_.wheel_granularity_ns <= until_ns) {
-    u32 n = wheel_->AdvanceOneSlot(due, kDueMax);
-    for (u32 i = 0; i < n; ++i) {
-      evicted += OnTimerDelivery(due[i].flow);
-    }
-    while (n == kDueMax) {
-      n = wheel_->DrainCurrentSlot(due, kDueMax);
-      for (u32 i = 0; i < n; ++i) {
-        evicted += OnTimerDelivery(due[i].flow);
+  for (u32 c = 0; c < kFlowClasses; ++c) {
+    while (lru_tail_[c] != kNullRef) {
+      const u32 h = lru_tail_[c];
+      auto* e = static_cast<FlowEntry*>(arena_.Deref(h));
+      if (e->expires_ns > clock_ns_) {
+        break;  // the class's earliest expiry is live: so is the rest
       }
+      Release(e, h);
+      ++evicted;
     }
   }
+  stats_.timeout_evictions += evicted;
   return evicted;
 }
 
@@ -947,8 +913,8 @@ bool ConntrackEnetstl::ImportState(const u8* data, std::size_t len) {
                                  static_cast<FlowState>(state), now_ns_,
                                  nat_ip, nat_port, &handle);
     if (e != nullptr) {
-      // Restore the exact remaining lifetime; the insert-time timer may fire
-      // early (delivery re-arms) or late (lazy expiry covers) — both safe.
+      // Restore the exact remaining lifetime. Records arrive oldest touch
+      // first, so each class list stays sorted by expiry.
       e->expires_ns = now_ns_ + remaining;
     }
   }

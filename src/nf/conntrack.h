@@ -12,12 +12,17 @@
 //                    link belongs to). Paired commit: both index heads are
 //                    written only after the entry is fully initialized, so a
 //                    flow is observable under both tuples or neither.
-//                    Lifecycle is timewheel-driven (nf/timewheel cancellable
-//                    timers + batched eviction on AdvanceOneSlot frontier
-//                    walks) with lazy expiry on lookup, so verdicts never
-//                    depend on sweep cadence. Arena exhaustion (-ENOSPC)
-//                    falls back to LRU eviction — the BPF LRU-map
-//                    degradation semantics, but pair-consistent.
+//                    Aging keeps one intrusive LRU list per timeout class
+//                    (NEW, ESTABLISHED, FIN_WAIT, UDP idle). Within a class
+//                    a flow expires at its last touch plus the class
+//                    timeout, so a list that moves a flow to the front on
+//                    every touch is sorted by expiry: the sweep pops due
+//                    tails and stops at the first live one, with no
+//                    per-flow timer. Lookup expires lazily too, and arena
+//                    exhaustion (-ENOSPC) reclaims a due class tail before
+//                    it evicts the least-recently-touched live flow (the
+//                    BPF LRU-map degradation, but pair-consistent), so
+//                    verdicts never depend on sweep cadence.
 //
 //  * LruFlowTable  — the eBPF-model engine: both directions live as separate
 //                    entries of one BPF LRU hash map, every refresh pays a
@@ -46,7 +51,6 @@
 #include "ebpf/maps.h"
 #include "ebpf/verifier.h"
 #include "nf/nf_interface.h"
-#include "nf/timewheel.h"
 
 namespace nf {
 
@@ -57,34 +61,40 @@ enum class FlowState : u8 {
   kUdpIdle = 3,      // non-TCP: single idle-timeout class
 };
 
+// One timeout class (and one LRU list) per flow state.
+inline constexpr u32 kFlowClasses = 4;
+
 struct FlowTableConfig {
   u32 max_flows = 65536;
   u32 seed = 0x7a3c9b1du;
   // Timeout classes (virtual nanoseconds); the state machine picks one per
-  // flow state. All must fit the timewheel horizon or sweeps degrade to the
-  // lazy-expiry path (correct, just unswept until the next revolution).
+  // flow state. Any value works: each class keeps its own expiry-sorted list.
   u64 new_timeout_ns = 1ull << 28;
   u64 established_timeout_ns = 1ull << 33;
   u64 fin_timeout_ns = 1ull << 27;
   u64 udp_timeout_ns = 1ull << 30;
+  // Sweep step: Advance moves the sweep clock in whole steps and frees the
+  // flows due at it.
   u64 wheel_granularity_ns = 1ull << 20;
 };
 
 // One tracked flow in the arena engine. key[0] is the forward (initiator)
 // tuple, key[1] the reverse/reply tuple; next[d] chains the entry under
-// key[d]'s index bucket. 76 payload bytes -> one 128-byte arena slot.
+// key[d]'s index bucket; lru_prev/lru_next link it into its state's class
+// list. 68 payload bytes -> one 128-byte arena slot. A conntrack or NAT hit
+// touches only the first 64 bytes: `state` selects the class list whose
+// head a refresh rewrites, so it must not wait on a second cache line.
 struct FlowEntry {
   ebpf::FiveTuple key[2];
   u32 next[2];  // tagged chain links (bit 31 = direction of the next node)
   u32 lru_prev;
   u32 lru_next;
   u64 expires_ns;
-  u64 timer;  // cancellable timewheel handle; kNoTimer when unarmed
-  u32 value;  // caller payload (katran: backend id)
   u32 nat_ip;
   u16 nat_port;
   FlowState state;
   u8 flags;
+  u32 value;  // caller payload (katran: backend id)
 };
 
 u64 CtTimeoutFor(const FlowTableConfig& config, FlowState state);
@@ -94,16 +104,13 @@ class FlowTable {
  public:
   static constexpr u32 kNullRef = 0xffffffffu;
   static constexpr u32 kHandleMask = 0x7fffffffu;
-  static constexpr u64 kNoTimer = TimeWheelBase::kInvalidTimer;
 
   struct Stats {
     u64 inserts = 0;
-    u64 lru_evictions = 0;      // -ENOSPC fallback victims
-    u64 timeout_evictions = 0;  // timewheel sweep victims
+    u64 lru_evictions = 0;      // live flows evicted by -ENOSPC reclaim
+    u64 timeout_evictions = 0;  // due flows freed by the sweep or reclaim
     u64 expired_lazy = 0;       // due flows freed on lookup
     u64 insert_failures = 0;    // exhaustion beyond the LRU fallback
-    u64 timer_rearms = 0;       // delivery found the flow refreshed
-    u64 timer_overflows = 0;    // wheel refused an arm; lazy expiry covers
   };
 
   struct Lookup {
@@ -135,30 +142,34 @@ class FlowTable {
   void FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns, Lookup* out);
 
   // Creates a flow with the given tuple pair. Both index insertions commit
-  // together after the entry is initialized. Arena exhaustion evicts the LRU
-  // flow and retries once (stats().lru_evictions); returns nullptr only when
-  // that also fails. Fault point "conntrack.insert" forces the exhaustion
-  // path. The handle of the new entry is written to *handle.
+  // together after the entry is initialized. Arena exhaustion reclaims one
+  // flow and retries once: a due class tail if there is one (what a sweep at
+  // now_ns would free), else the live class tail touched longest ago
+  // (stats().lru_evictions). Returns nullptr only when that also fails.
+  // Fault point "conntrack.insert" forces the exhaustion path. The handle of
+  // the new entry is written to *handle.
   FlowEntry* Insert(const ebpf::FiveTuple& fwd, const ebpf::FiveTuple& rev,
                     u32 value, FlowState state, u64 now_ns, u32 nat_ip,
                     u16 nat_port, u32* handle);
 
-  // Tears down the flow owning `key` (either direction). Cancels its timer.
+  // Tears down the flow owning `key` (either direction).
   bool Erase(const ebpf::FiveTuple& key);
   // Same, when the caller already holds the entry (RST fast path).
   void EraseEntry(FlowEntry* entry, u32 handle);
 
-  // Extends the flow's expiry by its state's timeout class and touches the
-  // LRU. O(1): the armed timer is NOT re-filed; delivery re-arms lazily when
-  // it finds the flow refreshed (the kernel timer idiom).
+  // Extends the flow's expiry by its state's timeout class and moves it to
+  // the front of that class's list. O(1).
   void Refresh(FlowEntry* entry, u32 handle, u64 now_ns);
+  // Moves the flow to the front of its new state's class list, expiring one
+  // class timeout from now_ns.
   void SetState(FlowEntry* entry, u32 handle, FlowState state, u64 now_ns);
 
-  // Drives the timewheel clock to `until_ns`, evicting due flows in batches
-  // of kMaxNfBurst per frontier slot. Returns flows evicted.
+  // Moves the sweep clock to `until_ns` rounded down to a whole sweep step
+  // and frees every flow due at it: pops each class list's due tails and
+  // stops at its first live one. Returns flows evicted.
   u32 Advance(u64 until_ns);
 
-  // Releases every live flow (index, LRU, timer, arena slot).
+  // Releases every live flow (index, LRU, arena slot).
   void Clear();
 
   // Bumped on every structural change (insert / erase / lazy expiry / sweep
@@ -166,20 +177,33 @@ class FlowTable {
   u64 mutation_epoch() const { return mutation_epoch_; }
 
   u32 live_flows() const { return arena_.live_slots(); }
-  u64 clock_ns() const { return wheel_->clock_ns(); }
+  u64 clock_ns() const { return clock_ns_; }
   const Stats& stats() const { return stats_; }
   const FlowTableConfig& config() const { return config_; }
-  u32 wheel_pending() const { return wheel_->size(); }
 
-  // Oldest-first LRU walk (export order; replaying inserts in walk order
-  // reproduces eviction order).
+  // Walks every flow oldest last touch first, merging the class lists (ties
+  // inside one touch time go by class, NEW first). This is the export order
+  // and the order reclaim takes live flows in, so replaying inserts in walk
+  // order reproduces eviction order.
   template <typename Fn>
   void ForEachLruOldestFirst(Fn&& fn) const {
-    for (u32 h = lru_tail_; h != kNullRef;) {
-      const auto* e = static_cast<const FlowEntry*>(arena_.Deref(h));
-      const u32 prev = e->lru_prev;
-      fn(*e);
-      h = prev;
+    const FlowEntry* at[kFlowClasses];
+    for (u32 c = 0; c < kFlowClasses; ++c) {
+      at[c] = EntryOrNull(lru_tail_[c]);
+    }
+    while (true) {
+      const FlowEntry* oldest = nullptr;
+      for (u32 c = 0; c < kFlowClasses; ++c) {
+        if (at[c] != nullptr &&
+            (oldest == nullptr || TouchedBefore(*at[c], *oldest))) {
+          oldest = at[c];
+        }
+      }
+      if (oldest == nullptr) {
+        return;
+      }
+      at[static_cast<u32>(oldest->state)] = EntryOrNull(oldest->lru_prev);
+      fn(*oldest);
     }
   }
 
@@ -199,21 +223,34 @@ class FlowTable {
   FlowEntry* FindRaw(const ebpf::FiveTuple& key, u8* dir, u32* handle) const;
   void LinkIndex(u32 handle, FlowEntry* entry, u8 dir);
   void UnlinkIndex(u32 handle, FlowEntry* entry, u8 dir);
-  void LruPushFront(u32 handle, FlowEntry* entry);
-  void LruUnlink(u32 handle, FlowEntry* entry);
-  void LruTouch(u32 handle, FlowEntry* entry);
-  void ArmTimer(FlowEntry* entry, u32 handle, u64 now_ns);
-  u32 OnTimerDelivery(u32 handle);
+  void LruPushFront(u32 handle, FlowEntry* entry, u32 cls);
+  void LruUnlink(FlowEntry* entry, u32 cls);
   void Release(FlowEntry* entry, u32 handle);
-  bool EvictLruOldest();
+  bool Reclaim(u64 now_ns);
+
+  const FlowEntry* EntryOrNull(u32 handle) const {
+    return handle == kNullRef
+               ? nullptr
+               : static_cast<const FlowEntry*>(arena_.Deref(handle));
+  }
+  // Last touch is expires_ns minus the class timeout; compared by adding
+  // the other flow's timeout to each side, so no subtraction can wrap.
+  bool TouchedBefore(const FlowEntry& a, const FlowEntry& b) const {
+    const u64 ta = a.expires_ns + timeout_ns_[static_cast<u32>(b.state)];
+    const u64 tb = b.expires_ns + timeout_ns_[static_cast<u32>(a.state)];
+    return ta < tb || (ta == tb && a.state < b.state);
+  }
 
   FlowTableConfig config_;
   enetstl::SlabArena arena_;
   std::vector<u32> buckets_;  // tagged refs: bit 31 = direction, rest handle
   u32 bucket_mask_ = 0;
-  u32 lru_head_ = kNullRef;  // most recent
-  u32 lru_tail_ = kNullRef;  // oldest
-  std::unique_ptr<TimeWheelEnetstl> wheel_;
+  u64 timeout_ns_[kFlowClasses];
+  // Per-class LRU lists, indexed by FlowState: head most recent, tail oldest
+  // (and therefore earliest expiry).
+  u32 lru_head_[kFlowClasses];
+  u32 lru_tail_[kFlowClasses];
+  u64 clock_ns_ = 0;  // sweep clock, a whole number of sweep steps
   u64 mutation_epoch_ = 0;
   Stats stats_;
   ebpf::RefLeakChecker* leak_ = nullptr;
@@ -307,8 +344,9 @@ class ConntrackBase : public NetworkFunction {
   // Virtual clock driving timeouts; the datapath never reads wall time.
   void SetNow(u64 now_ns) { now_ns_ = now_ns; }
   u64 now_ns() const { return now_ns_; }
-  // Advances the clock; the eNetSTL variant also runs timewheel eviction
-  // sweeps up to the new frontier. Returns flows evicted.
+  // Advances the clock; the eNetSTL variant also sweeps its table, freeing
+  // every flow due at the new time (rounded down to a sweep step). Returns
+  // flows evicted.
   virtual u32 AdvanceTo(u64 now_ns) {
     now_ns_ = now_ns;
     return 0;

@@ -63,91 +63,6 @@ ebpf::XdpAction TimeWheelBase::Process(ebpf::XdpContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Cancellable timers: slot table shared by every variant.
-// ---------------------------------------------------------------------------
-
-u64 TimeWheelBase::EnqueueCancellable(TwElem elem) {
-  u32 idx;
-  if (!timer_free_.empty()) {
-    idx = timer_free_.back();
-    timer_free_.pop_back();
-  } else {
-    idx = static_cast<u32>(timer_slots_.size());
-    timer_slots_.push_back(TimerSlot{});
-  }
-  elem.pad = idx + 1;  // 0 stays the plain-Enqueue marker
-  if (!Enqueue(elem)) {
-    timer_free_.push_back(idx);
-    return kInvalidTimer;
-  }
-  timer_slots_[idx].state = kTimerArmed;
-  return (static_cast<u64>(timer_slots_[idx].gen) << 32) | idx;
-}
-
-bool TimeWheelBase::Cancel(u64 handle) {
-  if (handle == kInvalidTimer) {
-    return false;
-  }
-  const u32 idx = static_cast<u32>(handle);
-  const u32 gen = static_cast<u32>(handle >> 32);
-  if (idx >= timer_slots_.size()) {
-    return false;
-  }
-  TimerSlot& slot = timer_slots_[idx];
-  if (slot.gen != gen || slot.state != kTimerArmed) {
-    return false;
-  }
-  slot.state = kTimerCancelled;
-  ++cancelled_pending_;
-  return true;
-}
-
-void TimeWheelBase::ReleaseTimerSlot(u32 idx) {
-  TimerSlot& slot = timer_slots_[idx];
-  ++slot.gen;  // invalidate every outstanding handle for this slot
-  slot.state = kTimerFree;
-  timer_free_.push_back(idx);
-}
-
-bool TimeWheelBase::AdmitDelivery(TwElem& elem) {
-  if (elem.pad == 0) {
-    return true;
-  }
-  const u32 idx = elem.pad - 1;
-  const bool armed = timer_slots_[idx].state == kTimerArmed;
-  if (!armed) {
-    --cancelled_pending_;
-  }
-  ReleaseTimerSlot(idx);
-  elem.pad = 0;  // the cookie never leaks to the caller
-  return armed;
-}
-
-bool TimeWheelBase::StillArmed(const TwElem& elem) {
-  if (elem.pad == 0) {
-    return true;
-  }
-  const u32 idx = elem.pad - 1;
-  if (timer_slots_[idx].state != kTimerCancelled) {
-    return true;
-  }
-  --cancelled_pending_;
-  ReleaseTimerSlot(idx);
-  return false;
-}
-
-void TimeWheelBase::DropTimerCookie(const TwElem& elem) {
-  if (elem.pad == 0) {
-    return;
-  }
-  const u32 idx = elem.pad - 1;
-  if (timer_slots_[idx].state == kTimerCancelled) {
-    --cancelled_pending_;
-  }
-  ReleaseTimerSlot(idx);
-}
-
-// ---------------------------------------------------------------------------
 // TimeWheelEbpf: one map element + one lock per bucket, BPF linked lists.
 // ---------------------------------------------------------------------------
 
@@ -188,17 +103,12 @@ void TimeWheelEbpf::Cascade() {
   }
   TwElem elem;
   while (list->PopFront(pool_, locks_[idx2], &elem)) {
-    if (!StillArmed(elem)) {
-      --size_;  // tombstoned mid-cascade: swept, never delivered
-      continue;
-    }
     const u32 bucket =
         BucketFor(elem.expires, clock_ns_, shift_, /*min_delta=*/0);
     if (bucket < kTotalBuckets) {
       PushBucket(bucket, elem);
     } else {
       --size_;  // beyond horizon after cascade: dropped
-      DropTimerCookie(elem);
     }
   }
 }
@@ -209,22 +119,14 @@ u32 TimeWheelEbpf::AdvanceOneSlot(TwElem* out, u32 max) {
   if (cur == 0) {
     Cascade();
   }
-  return DrainCurrentSlot(out, max);
-}
-
-u32 TimeWheelEbpf::DrainCurrentSlot(TwElem* out, u32 max) {
-  const u32 cur = static_cast<u32>(clock_ns_ >> shift_) & kLvl1Mask;
   ebpf::BpfList<TwElem>* list = bucket_map_.LookupElem(cur);
   if (list == nullptr) {
     return 0;
   }
   u32 n = 0;
-  TwElem elem;
-  while (n < max && list->PopFront(pool_, locks_[cur], &elem)) {
+  while (n < max && list->PopFront(pool_, locks_[cur], &out[n])) {
     --size_;
-    if (AdmitDelivery(elem)) {
-      out[n++] = elem;
-    }
+    ++n;
   }
   return n;
 }
@@ -288,18 +190,12 @@ void TimeWheelKernel::Cascade() {
     const TwElem elem = elems_[node];
     next_[node] = free_head_;
     free_head_ = node;
-    if (!StillArmed(elem)) {
-      --size_;  // tombstoned mid-cascade: swept, never delivered
-      node = nxt;
-      continue;
-    }
     const u32 bucket =
         BucketFor(elem.expires, clock_ns_, shift_, /*min_delta=*/0);
     if (bucket < kTotalBuckets) {
       PushBucket(bucket, elem);
     } else {
       --size_;
-      DropTimerCookie(elem);
     }
     node = nxt;
   }
@@ -311,15 +207,10 @@ u32 TimeWheelKernel::AdvanceOneSlot(TwElem* out, u32 max) {
   if (cur == 0) {
     Cascade();
   }
-  return DrainCurrentSlot(out, max);
-}
-
-u32 TimeWheelKernel::DrainCurrentSlot(TwElem* out, u32 max) {
-  const u32 cur = static_cast<u32>(clock_ns_ >> shift_) & kLvl1Mask;
   u32 n = 0;
   while (n < max && head_[cur] != kNil) {
     const u32 node = head_[cur];
-    TwElem elem = elems_[node];
+    out[n++] = elems_[node];
     head_[cur] = next_[node];
     if (head_[cur] == kNil) {
       tail_[cur] = kNil;
@@ -328,9 +219,6 @@ u32 TimeWheelKernel::DrainCurrentSlot(TwElem* out, u32 max) {
     next_[node] = free_head_;
     free_head_ = node;
     --size_;
-    if (AdmitDelivery(elem)) {
-      out[n++] = elem;
-    }
   }
   return n;
 }
@@ -375,17 +263,12 @@ void TimeWheelEnetstl::Cascade() {
       break;
     }
     for (s32 i = 0; i < got; ++i) {
-      if (!StillArmed(chunk[i])) {
-        --size_;  // tombstoned mid-cascade: swept, never delivered
-        continue;
-      }
       const u32 bucket =
           BucketFor(chunk[i].expires, clock_ns_, shift_, /*min_delta=*/0);
       if (bucket < kTotalBuckets) {
         PushBucket(bucket, chunk[i]);
       } else {
         --size_;
-        DropTimerCookie(chunk[i]);
       }
     }
     if (static_cast<u32>(got) < 64) {
@@ -400,36 +283,14 @@ u32 TimeWheelEnetstl::AdvanceOneSlot(TwElem* out, u32 max) {
   if (cur == 0) {
     Cascade();
   }
-  return DrainCurrentSlot(out, max);
-}
-
-u32 TimeWheelEnetstl::DrainCurrentSlot(TwElem* out, u32 max) {
-  const u32 cur = static_cast<u32>(clock_ns_ >> shift_) & kLvl1Mask;
-  // Batched pops replace max scalar PopFront boundaries; the kfunc
+  // One batched pop replaces max scalar PopFront boundaries; the kfunc
   // prefetches each successor's payload while copying the current one out.
-  // Tombstoned elements are compacted out of the popped chunk in place, and
-  // the pop repeats until `out` is full or the bucket is empty so that a
-  // return value < max always means the slot is drained.
-  u32 n = 0;
-  while (n < max) {
-    const u32 want = max - n;
-    const s32 got = buckets_.PopFrontBatch(cur, out + n, want, sizeof(TwElem));
-    if (got <= 0) {
-      break;
-    }
-    size_ -= static_cast<u32>(got);
-    u32 w = n;
-    for (s32 i = 0; i < got; ++i) {
-      if (AdmitDelivery(out[n + i])) {
-        out[w++] = out[n + i];
-      }
-    }
-    n = w;
-    if (static_cast<u32>(got) < want) {
-      break;  // bucket exhausted
-    }
+  const s32 got = buckets_.PopFrontBatch(cur, out, max, sizeof(TwElem));
+  if (got <= 0) {
+    return 0;
   }
-  return n;
+  size_ -= static_cast<u32>(got);
+  return static_cast<u32>(got);
 }
 
 namespace builtin {

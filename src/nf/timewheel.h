@@ -38,8 +38,6 @@ struct TimeWheelConfig {
 struct TwElem {
   u64 expires = 0;
   u32 flow = 0;
-  // Reserved for the wheel's cancellable-timer cookie (slot index + 1, 0 for
-  // plain Enqueue elements). Callers must leave it zero.
   u32 pad = 0;
 };
 static_assert(sizeof(TwElem) == 16);
@@ -61,33 +59,11 @@ class TimeWheelBase : public NetworkFunction {
 
   // Advances the clock by one level-1 slot and pops every element that came
   // due, up to `max` of them. Returns the number popped; a return value
-  // < `max` means the slot is fully drained.
+  // < `max` means the slot is fully drained. Elements beyond `max` stay in
+  // the slot until the wheel comes round to it again.
   virtual u32 AdvanceOneSlot(TwElem* out, u32 max) = 0;
 
-  // Pops further due elements from the slot AdvanceOneSlot just drained,
-  // without advancing the clock — a mass-expiry slot can hold more than one
-  // batch, and leaving the tail parks it a full revolution out. Same return
-  // contract: < `max` means the slot is now empty.
-  virtual u32 DrainCurrentSlot(TwElem* out, u32 max) = 0;
-
   virtual u32 size() const = 0;
-
-  // --- Cancellable timers (conntrack early flow teardown) ---
-  //
-  // EnqueueCancellable stamps the element with a private slot cookie
-  // (elem.pad, generation-validated) and returns a handle Cancel() accepts;
-  // kInvalidTimer when the wheel refuses the element. Cancel is O(1): the
-  // element stays parked in whatever bucket holds it, tombstoned. Both the
-  // cascade walk and slot delivery consume tombstones silently, so a
-  // cancelled handle is never delivered — including an element cancelled
-  // while it sits in a level-2 bucket awaiting cascade. Stale handles
-  // (already delivered, already cancelled, or from a recycled slot) return
-  // false. size() keeps counting tombstoned elements until a walk sweeps
-  // them out.
-  static constexpr u64 kInvalidTimer = ~0ull;
-  u64 EnqueueCancellable(TwElem elem);
-  bool Cancel(u64 handle);
-  u32 cancelled_pending() const { return cancelled_pending_; }
 
   // Packet path: payload word 0 = 1 -> enqueue at now + offset (payload word
   // 1, in slots); 0 -> advance one slot and drop whatever came due.
@@ -102,36 +78,9 @@ class TimeWheelBase : public NetworkFunction {
   }
 
  protected:
-  // Delivery-time filter: non-cancellable elements pass; armed cancellable
-  // elements consume their slot (the timer fired) and pass with the cookie
-  // scrubbed; tombstoned elements free their slot and are dropped. Every
-  // variant runs each popped element through this before handing it out.
-  bool AdmitDelivery(TwElem& elem);
-
-  // Cascade-time filter: true while the element must stay queued; false for
-  // tombstoned elements, whose slot is freed without delivery.
-  bool StillArmed(const TwElem& elem);
-
-  // Releases the cookie of an element dropped without delivery (cascade
-  // beyond-horizon drop); no-op for plain elements.
-  void DropTimerCookie(const TwElem& elem);
-
   TimeWheelConfig config_;
   u64 clock_ns_ = 0;
   u32 shift_ = 0;  // log2(granularity_ns)
-
- private:
-  enum : u8 { kTimerFree = 0, kTimerArmed = 1, kTimerCancelled = 2 };
-  struct TimerSlot {
-    u32 gen = 1;
-    u8 state = kTimerFree;
-  };
-
-  void ReleaseTimerSlot(u32 idx);
-
-  std::vector<TimerSlot> timer_slots_;
-  std::vector<u32> timer_free_;
-  u32 cancelled_pending_ = 0;
 };
 
 class TimeWheelEbpf : public TimeWheelBase {
@@ -139,7 +88,6 @@ class TimeWheelEbpf : public TimeWheelBase {
   explicit TimeWheelEbpf(const TimeWheelConfig& config);
   bool Enqueue(const TwElem& elem) override;
   u32 AdvanceOneSlot(TwElem* out, u32 max) override;
-  u32 DrainCurrentSlot(TwElem* out, u32 max) override;
   u32 size() const override { return size_; }
   Variant variant() const override { return Variant::kEbpf; }
 
@@ -160,7 +108,6 @@ class TimeWheelKernel : public TimeWheelBase {
   explicit TimeWheelKernel(const TimeWheelConfig& config);
   bool Enqueue(const TwElem& elem) override;
   u32 AdvanceOneSlot(TwElem* out, u32 max) override;
-  u32 DrainCurrentSlot(TwElem* out, u32 max) override;
   u32 size() const override { return size_; }
   Variant variant() const override { return Variant::kKernel; }
 
@@ -187,7 +134,6 @@ class TimeWheelEnetstl : public TimeWheelBase {
   explicit TimeWheelEnetstl(const TimeWheelConfig& config);
   bool Enqueue(const TwElem& elem) override;
   u32 AdvanceOneSlot(TwElem* out, u32 max) override;
-  u32 DrainCurrentSlot(TwElem* out, u32 max) override;
   u32 size() const override { return size_; }
   Variant variant() const override { return Variant::kEnetstl; }
 

@@ -1,5 +1,5 @@
 // Conntrack/NAT family tests: the arena-backed paired FlowTable (both-tuple
-// visibility, lazy expiry, timewheel sweeps, LRU degradation, batched lookup
+// visibility, lazy expiry, per-class sweeps, reclaim order, batched lookup
 // purity), the TCP-ish state machine and SNAT rewrites of both engine
 // variants, burst/scalar bit-identity under churn (including the 3*64+7
 // remainder tail), filter-mode lowering to a fused key op, and cross-variant
@@ -136,7 +136,7 @@ TEST_F(FlowTableTest, LazyExpiryFreesOnLookupWithoutSweep) {
   u8 dir;
   EXPECT_EQ(table.FindConst(fwd, dead, &dir), nullptr);
   EXPECT_EQ(table.live_flows(), 1u);
-  // Find lazily collects the due pair — no timewheel sweep ran.
+  // Find lazily collects the due pair — no sweep ran.
   u32 h2;
   EXPECT_EQ(table.Find(fwd, dead, &dir, &h2), nullptr);
   EXPECT_EQ(table.live_flows(), 0u);
@@ -147,7 +147,7 @@ TEST_F(FlowTableTest, LazyExpiryFreesOnLookupWithoutSweep) {
 TEST_F(FlowTableTest, TimewheelSweepEvictsDueFlowsInBatches) {
   FlowTableConfig config;
   FlowTable table(config);
-  constexpr u32 kFlows = 300;  // > one AdvanceOneSlot batch
+  constexpr u32 kFlows = 300;  // more than one burst of evictions
   for (u32 i = 0; i < kFlows; ++i) {
     const ebpf::FiveTuple fwd = TcpFlow(i);
     u32 handle;
@@ -171,17 +171,15 @@ TEST_F(FlowTableTest, RefreshExtendsLifeAndDeliveryReArmsLazily) {
   FlowEntry* e = table.Insert(fwd, FlowTable::ReverseTuple(fwd), 0,
                               FlowState::kNew, 0, 0, 0, &handle);
   ASSERT_NE(e, nullptr);
-  // Refresh at t1: expiry moves to t1 + new_timeout. The armed timer is NOT
-  // re-filed (O(1) refresh); the original delivery must find the flow fresh
-  // and re-arm instead of evicting.
+  // Refresh at t1: expiry moves to t1 + new_timeout, so a sweep past the
+  // original expiry must keep the flow.
   const u64 t1 = config.new_timeout_ns / 2;
   table.Refresh(e, handle, t1);
   EXPECT_EQ(table.Advance(config.new_timeout_ns +
                           2 * config.wheel_granularity_ns),
             0u);
   EXPECT_EQ(table.live_flows(), 1u);
-  EXPECT_GE(table.stats().timer_rearms, 1u);
-  // Past the refreshed expiry the re-armed timer evicts.
+  // A sweep past the refreshed expiry evicts.
   EXPECT_EQ(table.Advance(t1 + config.new_timeout_ns +
                           2 * config.wheel_granularity_ns),
             1u);
@@ -245,6 +243,153 @@ TEST_F(FlowTableTest, FaultInjectedAllocationTakesEvictionPath) {
   EXPECT_EQ(table.FindConst(flows[0], 0, &dir), nullptr);  // oldest evicted
   EXPECT_NE(table.FindConst(extra, 0, &dir), nullptr);
   EXPECT_EQ(table.live_flows(), 4u);
+}
+
+// Cross-class order: oldest last touch first, and ties inside one `now` go
+// by class (NEW, ESTABLISHED, FIN_WAIT, UDP idle), whatever the insert
+// order. Reclaim walks the same order, except that a due class tail jumps
+// the queue.
+TEST_F(FlowTableTest, ReclaimAndExportFollowLastTouchAcrossClasses) {
+  FlowTableConfig config;
+  const u64 step = config.wheel_granularity_ns;
+  config.new_timeout_ns = 100 * step;
+  config.established_timeout_ns = 1000 * step;
+  config.fin_timeout_ns = 20 * step;
+  config.udp_timeout_ns = 50 * step;
+  FlowTable table(config);
+  const auto insert = [&](u32 id, FlowState state, u64 now) {
+    u32 handle;
+    ASSERT_NE(table.Insert(TcpFlow(id), FlowTable::ReverseTuple(TcpFlow(id)),
+                           id, state, now, 0, 0, &handle),
+              nullptr);
+  };
+  const auto entry = [&](u32 id, u64 now, u32* handle) {
+    u8 dir;
+    return table.Find(TcpFlow(id), now, &dir, handle);
+  };
+  // Touch 0, inserted in reverse class order.
+  insert(0, FlowState::kUdpIdle, 0);
+  insert(1, FlowState::kFinWait, 0);
+  insert(2, FlowState::kEstablished, 0);
+  insert(3, FlowState::kNew, 0);
+  // Touch 1 step.
+  insert(4, FlowState::kEstablished, step);
+  insert(5, FlowState::kNew, step);
+  // Touch 2 steps: a refresh and a class change.
+  u32 h;
+  FlowEntry* e = entry(0, 2 * step, &h);
+  ASSERT_NE(e, nullptr);
+  table.Refresh(e, h, 2 * step);
+  e = entry(3, 2 * step, &h);
+  ASSERT_NE(e, nullptr);
+  table.SetState(e, h, FlowState::kEstablished, 2 * step);
+
+  std::vector<u32> walk;
+  table.ForEachLruOldestFirst([&](const FlowEntry& f) { walk.push_back(f.value); });
+  EXPECT_EQ(walk, (std::vector<u32>{2, 1, 5, 4, 3, 0}));
+
+  // At 25 steps only flow 1 (FIN_WAIT, touched at 0) is due. Every insert
+  // now reclaims: the due tail first, then the walk order. Newcomers are
+  // touched last, so they never jump ahead.
+  const u64 now = 25 * step;
+  enetstl::FaultInjector::Global().ArmEveryNth("conntrack.insert", 1);
+  std::vector<u32> victims;
+  std::vector<u32> alive = {0, 1, 2, 3, 4, 5};
+  for (u32 k = 0; k < 6; ++k) {
+    insert(100 + k, FlowState::kEstablished, now);
+    for (auto it = alive.begin(); it != alive.end(); ++it) {
+      u8 dir;
+      if (table.FindConst(TcpFlow(*it), 0, &dir) == nullptr) {
+        victims.push_back(*it);
+        alive.erase(it);
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(victims, (std::vector<u32>{1, 2, 5, 4, 3, 0}));
+  EXPECT_EQ(table.stats().timeout_evictions, 1u);
+  EXPECT_EQ(table.stats().lru_evictions, 5u);
+  EXPECT_EQ(table.live_flows(), 6u);
+}
+
+// A table the sweep keeps clean and a lazy-only twin of it must decide
+// alike under capacity pressure with every timeout class mixed: where the
+// swept table has room, the twin reclaims a due flow, never a live one. The
+// sweep is exact, so the swept table never meets a due flow at lookup.
+TEST_F(FlowTableTest, SweptTableAndLazyTwinDecideAlikeAcrossClasses) {
+  FlowTableConfig config;
+  config.max_flows = 256;  // exactly one slab: hard capacity
+  const u64 step = config.wheel_granularity_ns;
+  config.new_timeout_ns = 24 * step;
+  config.established_timeout_ns = 400 * step;
+  config.fin_timeout_ns = 6 * step;
+  config.udp_timeout_ns = 90 * step;
+  FlowTable swept(config);
+  FlowTable lazy(config);
+  pktgen::Rng rng(0x7c1a55);
+  u64 now = 0;
+  for (u32 op = 0; op < 40000; ++op) {
+    if (op % 64 == 63) {
+      now += step * (1 + rng.NextBounded(4));
+      swept.Advance(now);
+      ASSERT_EQ(swept.stats().expired_lazy, 0u) << "op=" << op;
+    }
+    ebpf::FiveTuple t = TcpFlow(static_cast<u32>(rng.NextBounded(700)));
+    if (rng.NextBounded(3) == 0) {
+      t = FlowTable::ReverseTuple(t);
+    }
+    u8 ds = 0;
+    u8 dl = 0;
+    u32 hs = 0;
+    u32 hl = 0;
+    FlowEntry* es = swept.Find(t, now, &ds, &hs);
+    FlowEntry* el = lazy.Find(t, now, &dl, &hl);
+    ASSERT_EQ(es != nullptr, el != nullptr) << "op=" << op;
+    const u32 r = static_cast<u32>(rng.NextBounded(100));
+    if (es == nullptr) {
+      const auto st = static_cast<FlowState>(r % kFlowClasses);
+      ASSERT_NE(swept.Insert(t, FlowTable::ReverseTuple(t), op, st, now, 0, 0,
+                             &hs),
+                nullptr);
+      ASSERT_NE(lazy.Insert(t, FlowTable::ReverseTuple(t), op, st, now, 0, 0,
+                            &hl),
+                nullptr);
+      continue;
+    }
+    ASSERT_EQ(ds, dl) << "op=" << op;
+    ASSERT_EQ(es->value, el->value) << "op=" << op;
+    ASSERT_EQ(es->expires_ns, el->expires_ns) << "op=" << op;
+    if (r < 8) {
+      swept.EraseEntry(es, hs);
+      lazy.EraseEntry(el, hl);
+    } else if (r < 30) {
+      const auto st = static_cast<FlowState>(r % kFlowClasses);
+      swept.SetState(es, hs, st, now);
+      lazy.SetState(el, hl, st, now);
+    } else {
+      swept.Refresh(es, hs, now);
+      lazy.Refresh(el, hl, now);
+    }
+  }
+  // Same live flows, in the same order.
+  std::vector<u32> live_swept;
+  std::vector<u32> live_lazy;
+  swept.ForEachLruOldestFirst([&](const FlowEntry& f) {
+    live_swept.push_back(f.expires_ns > now ? f.value : ~0u);
+  });
+  lazy.ForEachLruOldestFirst([&](const FlowEntry& f) {
+    if (f.expires_ns > now) {
+      live_lazy.push_back(f.value);
+    }
+  });
+  EXPECT_EQ(live_swept, live_lazy);
+  // Every regime ran: sweeps, live evictions in both, due reclaims and lazy
+  // expiry in the twin only.
+  EXPECT_GT(swept.stats().timeout_evictions, 0u);
+  EXPECT_GT(swept.stats().lru_evictions, 0u);
+  EXPECT_EQ(swept.stats().lru_evictions, lazy.stats().lru_evictions);
+  EXPECT_GT(lazy.stats().timeout_evictions, 0u);
+  EXPECT_GT(lazy.stats().expired_lazy, 0u);
 }
 
 TEST_F(FlowTableTest, FindBatchMatchesScalarAndStaysPure) {

@@ -180,121 +180,6 @@ TEST_P(TimeWheelAllVariants, CapacityExhaustionFailsEnqueue) {
   EXPECT_TRUE(tw->Enqueue(e));
 }
 
-TEST_P(TimeWheelAllVariants, CancelBeforeDeliverySuppressesElement) {
-  TimeWheelConfig config;
-  config.granularity_ns = 128;
-  auto tw = Make(GetParam(), config);
-  TwElem e;
-  e.expires = 300;  // slot 2
-  e.flow = 42;
-  const u64 h = tw->EnqueueCancellable(e);
-  ASSERT_NE(h, TimeWheelBase::kInvalidTimer);
-  EXPECT_EQ(tw->cancelled_pending(), 0u);
-  EXPECT_TRUE(tw->Cancel(h));
-  EXPECT_EQ(tw->cancelled_pending(), 1u);
-  TwElem out[8];
-  u32 delivered = 0;
-  for (int slot = 0; slot < 4; ++slot) {
-    delivered += tw->AdvanceOneSlot(out, 8);
-  }
-  EXPECT_EQ(delivered, 0u);
-  EXPECT_EQ(tw->size(), 0u);
-  // The tombstone was consumed by slot delivery; its slot is free again.
-  EXPECT_EQ(tw->cancelled_pending(), 0u);
-}
-
-TEST_P(TimeWheelAllVariants, CancelledMidCascadeNeverDelivered) {
-  TimeWheelConfig config;
-  config.granularity_ns = 128;
-  auto tw = Make(GetParam(), config);
-  // Parks in a level-2 bucket (delta >= kTvrSize slots), so the element must
-  // ride a cascade before it could ever be delivered.
-  TwElem victim;
-  victim.expires = static_cast<u64>(kTvrSize + 10) * 128;
-  victim.flow = 1111;
-  const u64 h = tw->EnqueueCancellable(victim);
-  ASSERT_NE(h, TimeWheelBase::kInvalidTimer);
-  // A live sibling in the same level-2 window proves the cascade still runs.
-  TwElem sibling;
-  sibling.expires = static_cast<u64>(kTvrSize + 12) * 128;
-  sibling.flow = 2222;
-  ASSERT_TRUE(tw->Enqueue(sibling));
-  // Cancel while the element sits in level 2, before any cascade touched it.
-  EXPECT_TRUE(tw->Cancel(h));
-  EXPECT_EQ(tw->cancelled_pending(), 1u);
-  TwElem out[8];
-  u32 delivered_sibling = 0;
-  for (u32 slot = 1; slot <= kTvrSize + 16; ++slot) {
-    const u32 n = tw->AdvanceOneSlot(out, 8);
-    for (u32 i = 0; i < n; ++i) {
-      // The cancelled flow must never surface, not even once.
-      ASSERT_NE(out[i].flow, 1111u);
-      if (out[i].flow == 2222u) {
-        ++delivered_sibling;
-        // Delivery scrubs the wheel-private cookie.
-        EXPECT_EQ(out[i].pad, 0u);
-      }
-    }
-  }
-  EXPECT_EQ(delivered_sibling, 1u);
-  EXPECT_EQ(tw->size(), 0u);
-  EXPECT_EQ(tw->cancelled_pending(), 0u);
-}
-
-TEST_P(TimeWheelAllVariants, DoubleCancelAndStaleHandlesReturnFalse) {
-  TimeWheelConfig config;
-  config.granularity_ns = 128;
-  auto tw = Make(GetParam(), config);
-  TwElem e;
-  e.expires = 200;
-  e.flow = 9;
-  const u64 h = tw->EnqueueCancellable(e);
-  ASSERT_NE(h, TimeWheelBase::kInvalidTimer);
-  EXPECT_TRUE(tw->Cancel(h));
-  EXPECT_FALSE(tw->Cancel(h));  // double cancel
-  // A delivered timer's handle goes stale too.
-  TwElem e2;
-  e2.expires = 200;
-  e2.flow = 10;
-  const u64 h2 = tw->EnqueueCancellable(e2);
-  ASSERT_NE(h2, TimeWheelBase::kInvalidTimer);
-  TwElem out[8];
-  u32 got = 0;
-  for (int slot = 0; slot < 4; ++slot) {
-    got += tw->AdvanceOneSlot(out, 8);
-  }
-  EXPECT_EQ(got, 1u);  // only the armed one
-  EXPECT_FALSE(tw->Cancel(h2));
-  // Garbage handles are rejected outright.
-  EXPECT_FALSE(tw->Cancel(0));
-  EXPECT_FALSE(tw->Cancel(TimeWheelBase::kInvalidTimer - 1));
-}
-
-TEST_P(TimeWheelAllVariants, RecycledTimerSlotGetsFreshGeneration) {
-  TimeWheelConfig config;
-  config.granularity_ns = 128;
-  auto tw = Make(GetParam(), config);
-  TwElem e;
-  e.expires = 200;
-  e.flow = 1;
-  const u64 h1 = tw->EnqueueCancellable(e);
-  ASSERT_NE(h1, TimeWheelBase::kInvalidTimer);
-  ASSERT_TRUE(tw->Cancel(h1));
-  TwElem out[8];
-  tw->AdvanceOneSlot(out, 8);  // sweeps the tombstone, freeing the slot
-  ASSERT_EQ(tw->cancelled_pending(), 0u);
-  // Re-arming may reuse the same slot index, but the generation differs, so
-  // the old handle cannot cancel the new timer.
-  TwElem f;
-  f.expires = tw->clock_ns() + 400;
-  f.flow = 2;
-  const u64 h2 = tw->EnqueueCancellable(f);
-  ASSERT_NE(h2, TimeWheelBase::kInvalidTimer);
-  EXPECT_NE(h1, h2);
-  EXPECT_FALSE(tw->Cancel(h1));
-  EXPECT_TRUE(tw->Cancel(h2));
-}
-
 INSTANTIATE_TEST_SUITE_P(Variants, TimeWheelAllVariants,
                          ::testing::Values(Kind::kEbpf, Kind::kKernel,
                                            Kind::kEnetstl),
